@@ -10,10 +10,10 @@ emitting **exactly** the trace events the reference backend would have:
   CPython) with the full inner/outer/key-hash block accounting of
   :func:`repro.backend.base.hmac_sha2_blocks`;
 * AES uses the optional ``cryptography`` package (OpenSSL) when it is
-  importable — single blocks through a persistent ECB context, chaining
-  modes through one C call per message — and **falls back gracefully**
-  to the from-scratch AES otherwise (hashes stay accelerated; only the
-  cipher drops back);
+  importable — single blocks and CTR counter blocks through a persistent
+  ECB context, CBC through one C call per message — and **falls back
+  gracefully** to the from-scratch AES otherwise (hashes stay
+  accelerated; only the cipher drops back);
 * EC scalar multiplication dispatches to
   :class:`repro.backend.ec_accelerated.AcceleratedEc` — OpenSSL point
   math per curve where the local build supports it, a wide pure-Python
@@ -64,6 +64,7 @@ _HASHLIB_CTORS = {
 }
 
 _AES_BLOCK = 16
+_COUNTER_MASK = (1 << 128) - 1
 _AES_ROUNDS = {16: 10, 24: 12, 32: 14}
 
 
@@ -146,11 +147,11 @@ class _AcceleratedHash:
 class _AcceleratedAes:
     """OpenSSL-backed AES with per-block events and bulk fast paths.
 
-    Single-block calls go through one persistent ECB context (one C call
-    per block); the chaining-mode helpers used by
-    :mod:`repro.primitives.modes` and :mod:`repro.primitives.cmac`
-    process the whole message in one C call while recording the same
-    one-event-per-block accounting the reference loops produce.
+    Single blocks, ECB and CTR keystreams go through one persistent ECB
+    context, so a cipher kept for many messages sets up its key schedule
+    once; CBC runs each message through one C call.  Every helper
+    records the same one-event-per-block accounting the reference loops
+    produce.
     """
 
     __slots__ = ("key_size", "rounds", "_key", "_ecb_enc", "_ecb_dec")
@@ -163,8 +164,8 @@ class _AcceleratedAes:
         self.key_size = len(key)
         self.rounds = _AES_ROUNDS[len(key)]
         self._key = bytes(key)
-        # ECB contexts are built lazily: the hot fleet path only touches
-        # the CTR/CBC bulk helpers, which carry their own contexts.
+        # ECB contexts are built on first use: a cipher made for one CBC
+        # message never needs them.
         self._ecb_enc = None
         self._ecb_dec = None
 
@@ -235,15 +236,21 @@ class _AcceleratedAes:
         return dec.update(data) + dec.finalize()
 
     def ctr_keystream(self, nonce: bytes, length: int) -> bytes:
-        """AES-CTR keystream (128-bit big-endian counter) in one C call."""
+        """AES-CTR keystream (128-bit big-endian counter, wraps mod 2^128).
+
+        The counter blocks go through the persistent ECB context in one
+        C call.
+        """
         if length <= 0:
             return b""
         n_blocks = (length + _AES_BLOCK - 1) // _AES_BLOCK
         trace.record("aes.block", n_blocks)
-        enc = _CrCipher(
-            _cr_algorithms.AES(self._key), _cr_modes.CTR(nonce)
-        ).encryptor()
-        return enc.update(b"\x00" * length) + enc.finalize()
+        first = int.from_bytes(nonce, "big")
+        counters = b"".join(
+            ((first + i) & _COUNTER_MASK).to_bytes(_AES_BLOCK, "big")
+            for i in range(n_blocks)
+        )
+        return self._ecb_encryptor().update(counters)[:length]
 
 
 class AcceleratedBackend(CryptoBackend):

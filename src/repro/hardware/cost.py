@@ -10,6 +10,7 @@ whole session establishment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import HardwareModelError
 from ..trace import CostTrace
@@ -54,7 +55,9 @@ class CostModel:
             (the dominant term; everything EC scales from it).
         hash_block_ms: cost of one SHA-2 compression (everything symmetric
             scales from it).
-        extra_ms: optional explicit per-event overrides/additions.
+        extra_ms: optional explicit per-event overrides/additions; fixed
+            once the model exists, since :meth:`price` caches each event's
+            price.
     """
 
     scalar_mult_ms: float
@@ -75,12 +78,25 @@ class CostModel:
         price += self.extra_ms.get(event, 0.0)
         return price
 
+    @cached_property
+    def _prices(self) -> dict[str, float]:
+        """``event -> price_of(event)``, filled as :meth:`price` meets events."""
+        return {}
+
     def price(self, trace: CostTrace) -> float:
-        """Total milliseconds for every event recorded in ``trace``."""
-        return sum(
-            count * self.price_of(event)
-            for event, count in trace.counts.items()
-        )
+        """Total milliseconds for every event recorded in ``trace``.
+
+        Adds ``count * price_of(event)`` with the builtin :func:`sum`, in
+        the trace's first-seen event order, reading each price from a
+        per-model table.  Python 3.12's ``sum`` compensates float
+        rounding, so a hand-written loop would change the bits there.
+        """
+        prices = self._prices
+        counts = trace.counts
+        for event in counts:
+            if event not in prices:
+                prices[event] = self.price_of(event)
+        return sum(count * prices[event] for event, count in counts.items())
 
     def breakdown(self, trace: CostTrace) -> dict[str, float]:
         """Per-event millisecond contributions (sorted by event name)."""

@@ -77,11 +77,26 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes, pad: bool = True) -> b
 
 def ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """Generate an AES-CTR keystream (128-bit big-endian counter)."""
-    if len(nonce) != BLOCK_SIZE:
-        raise CryptoError(f"CTR nonce must be {BLOCK_SIZE} bytes")
+    _check_ctr_nonce(nonce)
     return get_backend().create_cipher(key).ctr_keystream(nonce, length)
 
 
 def ctr_crypt(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """AES-CTR encryption/decryption (symmetric)."""
-    return xor_bytes(data, ctr_keystream(key, nonce, len(data)))
+    return ctr_crypt_with(get_backend().create_cipher(key), nonce, data)
+
+
+def ctr_crypt_with(cipher, nonce: bytes, data: bytes) -> bytes:
+    """AES-CTR under a cipher from a backend's ``create_cipher``.
+
+    For callers that encrypt many messages under one key, such as
+    :class:`repro.protocols.SecureSession`: the key schedule is built
+    once, not per message.
+    """
+    _check_ctr_nonce(nonce)
+    return xor_bytes(data, cipher.ctr_keystream(nonce, len(data)))
+
+
+def _check_ctr_nonce(nonce: bytes) -> None:
+    if len(nonce) != BLOCK_SIZE:
+        raise CryptoError(f"CTR nonce must be {BLOCK_SIZE} bytes")

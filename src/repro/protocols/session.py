@@ -10,18 +10,28 @@ recovered keys, so this layer must be byte-exact and deterministic.
 Record layout::
 
     seq(4) || direction(1) || ciphertext(len(plaintext)) || tag(16)
+
+Each record is encrypted from its own CTR counter blocks::
+
+    direction(1) || 0(7) || seq(4) || block(4),   block = 0, 1, ...
+
+CTR increments only the 32-bit block field, so no two records of a
+session, in either direction, share a keystream block.
 """
 
 from __future__ import annotations
 
+from ..backend import get_backend
 from ..errors import AuthenticationError, ProtocolError
 from ..primitives import ctr_crypt, hmac
+from ..primitives.modes import ctr_crypt_with
 from ..utils import constant_time_equal, int_to_bytes
 from .wire import SESSION_KEY_SIZE, enc_key, mac_key
 
 HEADER_SIZE = 5
 TAG_SIZE = 16
 _DIR = {"A": b"\x0a", "B": b"\x0b"}
+_ROLE = {byte[0]: role for role, byte in _DIR.items()}
 
 
 def record_overhead() -> int:
@@ -29,8 +39,36 @@ def record_overhead() -> int:
     return HEADER_SIZE + TAG_SIZE
 
 
+def _counter_block(header: bytes) -> bytes:
+    """First CTR counter block of the record whose header is ``header``."""
+    return header[4:] + b"\x00" * 7 + header[:4] + b"\x00" * 4
+
+
+def _authenticate(
+    authentication_key: bytes, record: bytes
+) -> tuple[bytes, bytes, int, str]:
+    """Check a record's tag: ``(header, ciphertext, seq, sender_role)``."""
+    if len(record) < HEADER_SIZE + TAG_SIZE:
+        raise AuthenticationError("record too short")
+    body = record[:-TAG_SIZE]
+    expected = hmac(authentication_key, body)[:TAG_SIZE]
+    if not constant_time_equal(record[-TAG_SIZE:], expected):
+        raise AuthenticationError("record MAC verification failed")
+    header = body[:HEADER_SIZE]
+    direction = _ROLE.get(header[4])
+    if direction is None:
+        raise AuthenticationError("record has invalid direction byte")
+    seq = int.from_bytes(header[:4], "big")
+    return header, body[HEADER_SIZE:], seq, direction
+
+
 class SecureSession:
     """One endpoint of an established secure session.
+
+    The session builds its AES cipher on its first record, through the
+    active backend, and keeps it; it builds a new one only when the active
+    backend changes.  The cipher lives and dies with the session, so no
+    key schedule outlives its session key.
 
     Args:
         session_key: the KD protocol output (:data:`SESSION_KEY_SIZE` bytes).
@@ -51,26 +89,36 @@ class SecureSession:
         self._mac_key = mac_key(session_key)
         self._send_seq = 0
         self._recv_seq: dict[str, int] = {r: 0 for r in _DIR}
+        self._backend = None
+        self._cipher = None
 
-    def _nonce(self, seq: int, direction: str) -> bytes:
-        """Per-record CTR nonce: direction byte, zero pad, 32-bit sequence."""
-        return _DIR[direction] + b"\x00" * 11 + int_to_bytes(seq, 4)
+    def _aes(self):
+        """This session's AES cipher under the active backend."""
+        backend = get_backend()
+        if backend is not self._backend:
+            self._cipher = backend.create_cipher(self._enc_key)
+            self._backend = backend
+        return self._cipher
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Produce the next outbound record."""
         seq = self._send_seq
         self._send_seq += 1
         header = int_to_bytes(seq, 4) + _DIR[self.role]
-        ciphertext = ctr_crypt(
-            self._enc_key, self._nonce(seq, self.role), plaintext
+        body = header + ctr_crypt_with(
+            self._aes(), _counter_block(header), plaintext
         )
-        tag = hmac(self._mac_key, header + ciphertext)[:TAG_SIZE]
-        return header + ciphertext + tag
+        return body + hmac(self._mac_key, body)[:TAG_SIZE]
 
     def decrypt(self, record: bytes) -> bytes:
         """Verify and open an inbound record (enforces sequence order)."""
-        plaintext, seq, direction = open_record_with_key(
-            self._enc_key, self._mac_key, record
+        header, ciphertext, seq, direction = _authenticate(
+            self._mac_key, record
+        )
+        # Decrypt before the direction and order checks, as the stateless
+        # open does: a rejected replay still costs its AES blocks.
+        plaintext = ctr_crypt_with(
+            self._aes(), _counter_block(header), ciphertext
         )
         if direction == self.role:
             raise AuthenticationError("record reflected from our own role")
@@ -88,27 +136,16 @@ def open_record_with_key(
 ) -> tuple[bytes, int, str]:
     """Open a record given raw keys (no endpoint state).
 
-    Used both by :class:`SecureSession` and by the attack simulations,
-    which model an adversary that recovered the keys later.
+    A stateless one-shot for the attack simulations, which model an
+    adversary that recovered the keys later.
 
     Returns:
         ``(plaintext, sequence, sender_role)``.
     """
-    if len(record) < HEADER_SIZE + TAG_SIZE:
-        raise AuthenticationError("record too short")
-    header = record[:HEADER_SIZE]
-    ciphertext = record[HEADER_SIZE:-TAG_SIZE]
-    tag = record[-TAG_SIZE:]
-    expected = hmac(authentication_key, header + ciphertext)[:TAG_SIZE]
-    if not constant_time_equal(tag, expected):
-        raise AuthenticationError("record MAC verification failed")
-    seq = int.from_bytes(header[:4], "big")
-    dir_byte = header[4:5]
-    direction = next((r for r, b in _DIR.items() if b == dir_byte), None)
-    if direction is None:
-        raise AuthenticationError("record has invalid direction byte")
-    nonce = _DIR[direction] + b"\x00" * 11 + header[:4]
-    plaintext = ctr_crypt(encryption_key, nonce, ciphertext)
+    header, ciphertext, seq, direction = _authenticate(
+        authentication_key, record
+    )
+    plaintext = ctr_crypt(encryption_key, _counter_block(header), ciphertext)
     return plaintext, seq, direction
 
 

@@ -30,9 +30,7 @@ no-op, so the primitives stay usable as an ordinary crypto library.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator
 
 _ACTIVE: ContextVar[tuple["CostTrace", ...]] = ContextVar(
     "repro_active_traces", default=()
@@ -99,9 +97,11 @@ def tracing_active() -> bool:
     return bool(_ACTIVE.get())
 
 
-@contextmanager
-def trace(label: str = "") -> Iterator[CostTrace]:
+class trace:  # noqa: N801 - called like a function: ``with trace.trace():``
     """Context manager that activates a fresh :class:`CostTrace`.
+
+    A slotted class rather than a generator ``@contextmanager``, because
+    every record of the fleet's record channel opens two of these scopes.
 
     Example::
 
@@ -109,9 +109,15 @@ def trace(label: str = "") -> Iterator[CostTrace]:
             curve.mul_base(secret)
         assert t["ec.mul_base"] == 1
     """
-    t = CostTrace(label)
-    token = _ACTIVE.set(_ACTIVE.get() + (t,))
-    try:
-        yield t
-    finally:
-        _ACTIVE.reset(token)
+
+    __slots__ = ("_trace", "_token")
+
+    def __init__(self, label: str = "") -> None:
+        self._trace = CostTrace(label)
+
+    def __enter__(self) -> CostTrace:
+        self._token = _ACTIVE.set(_ACTIVE.get() + (self._trace,))
+        return self._trace
+
+    def __exit__(self, *exc_info) -> None:
+        _ACTIVE.reset(self._token)

@@ -7,6 +7,8 @@ octet strings.
 
 from __future__ import annotations
 
+from hmac import compare_digest
+
 from .errors import ReproError
 
 
@@ -47,25 +49,20 @@ def constant_time_equal(a: bytes, b: bytes) -> bool:
     """Compare two byte strings without data-dependent early exit.
 
     Embedded implementations use this pattern to avoid timing side channels
-    when comparing MACs or signatures.  Python cannot give real constant-time
-    guarantees, but we keep the access pattern uniform so the simulated cost
-    (one pass over the data) matches what a device would do.
+    when comparing MACs or signatures.  :func:`hmac.compare_digest` does
+    the comparison in C; a length mismatch returns ``False``.
     """
-    if len(a) != len(b):
-        return False
-    diff = 0
-    for x, y in zip(a, b):
-        diff |= x ^ y
-    return diff == 0
+    return compare_digest(a, b)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
-    if len(a) != len(b):
-        raise ReproError(
-            f"xor_bytes length mismatch: {len(a)} vs {len(b)}"
-        )
-    return bytes(x ^ y for x, y in zip(a, b))
+    """XOR two equal-length byte strings (one big-integer XOR)."""
+    n = len(a)
+    if n != len(b):
+        raise ReproError(f"xor_bytes length mismatch: {n} vs {len(b)}")
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
+        n, "big"
+    )
 
 
 def chunks(data: bytes, size: int) -> list[bytes]:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import HardwareModelError
 from repro.hardware import (
+    DEVICES,
     CostModel,
     EC_RELATIVE_WEIGHTS,
     SYM_RELATIVE_WEIGHTS,
@@ -13,6 +17,11 @@ from repro.hardware import (
     sym_units,
 )
 from repro.trace import CostTrace
+
+#: Priced event names plus arbitrary unpriced ones.
+EVENTS = st.sampled_from(
+    sorted(EC_RELATIVE_WEIGHTS) + sorted(SYM_RELATIVE_WEIGHTS)
+) | st.text("abcxyz._", min_size=1, max_size=6)
 
 
 def make_trace(**counts) -> CostTrace:
@@ -71,6 +80,42 @@ class TestCostModel:
             CostModel(0.0, 0.1).validate()
         with pytest.raises(HardwareModelError):
             CostModel(1.0, -0.1).validate()
+
+
+class TestPriceBitIdentity:
+    """``price`` and what builds on it equal the summed formula exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        device=st.sampled_from(sorted(DEVICES)),
+        events=st.lists(
+            st.tuples(EVENTS, st.integers(0, 10**6)), max_size=12
+        ),
+        extra=st.dictionaries(
+            EVENTS, st.floats(-1e3, 1e4, allow_nan=False), max_size=4
+        ),
+    )
+    def test_equals_summed_formula(self, device, events, extra):
+        trace = CostTrace()
+        for event, n in events:
+            trace.record(event, n)
+        base = DEVICES[device]
+        overridden = dataclasses.replace(
+            base,
+            cost=CostModel(
+                base.cost.scalar_mult_ms, base.cost.hash_block_ms, extra
+            ),
+        )
+        for model in (base, overridden):
+            formula = sum(
+                count * model.cost.price_of(event)
+                for event, count in trace.counts.items()
+            )
+            assert model.cost.price(trace) == formula
+            assert model.time_ms(trace) == formula
+            assert model.energy_mj(trace) == (
+                model.active_power_mw * formula / 1_000.0
+            )
 
 
 class TestUnits:

@@ -5,16 +5,48 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import trace
+from repro.backend import use_backend
 from repro.errors import AuthenticationError, ProtocolError
+from repro.obs import profiled_backend
+from repro.primitives import ctr_keystream
 from repro.protocols import (
     SecureSession,
     open_record_with_key,
     record_overhead,
     session_pair,
 )
+from repro.protocols.session import HEADER_SIZE, TAG_SIZE
 from repro.protocols.wire import derive_session_key, enc_key, mac_key
+from repro.utils import xor_bytes
 
 KS = derive_session_key(b"premaster", b"salt")
+BACKENDS = ("reference", "accelerated")
+
+#: Plaintext length -> the ``aes.block`` and ``sha2.block`` events one
+#: record costs on either side; each side also records one ``hmac.call``.
+RECORD_EVENTS = {
+    0: (0, 4),
+    1: (1, 4),
+    16: (1, 4),
+    17: (2, 4),
+    32: (2, 4),
+    200: (13, 7),
+}
+
+#: First-seen event order of one record.  ``CostModel.price`` sums a
+#: trace's terms in this order, so the order is pinned like the counts.
+EVENT_ORDER = {
+    ("reference", "encrypt"): ("aes.block", "sha2.block", "hmac.call"),
+    ("reference", "decrypt"): ("sha2.block", "hmac.call", "aes.block"),
+    ("accelerated", "encrypt"): ("aes.block", "hmac.call", "sha2.block"),
+    ("accelerated", "decrypt"): ("hmac.call", "sha2.block", "aes.block"),
+}
+
+
+def ciphertext_of(record: bytes) -> bytes:
+    """The bytes between a record's header and its tag."""
+    return record[HEADER_SIZE:-TAG_SIZE]
 
 
 class TestRoundTrip:
@@ -114,3 +146,67 @@ class TestRawOpen:
     def test_open_rejects_garbage(self):
         with pytest.raises(AuthenticationError):
             open_record_with_key(enc_key(KS), mac_key(KS), b"\x00" * 40)
+
+
+class TestCounterBlocks:
+    def test_layout(self):
+        # Record 1 from role A starts at 0x0a || 0^7 || seq 1 || block 0.
+        a, _ = session_pair(KS)
+        a.encrypt(b"")
+        nonce = b"\x0a" + bytes(7) + (1).to_bytes(4, "big") + bytes(4)
+        expected = ctr_keystream(enc_key(KS), nonce, 40)
+        assert ciphertext_of(a.encrypt(bytes(40))) == expected
+
+    @pytest.mark.parametrize("role", ["A", "B"])
+    def test_consecutive_records_share_no_keystream(self, role):
+        # If block 1 of record n reused block 0 of record n + 1, a passive
+        # eavesdropper holding no key would read P_n[16:32] ^ P_n+1[:16].
+        sender = SecureSession(KS, role)
+        p0, p1 = bytes(range(32)), bytes(range(32, 64))
+        c0 = ciphertext_of(sender.encrypt(p0))
+        c1 = ciphertext_of(sender.encrypt(p1))
+        assert xor_bytes(c0[16:], c1[:16]) != xor_bytes(p0[16:], p1[:16])
+
+
+class TestRecordCost:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("length", sorted(RECORD_EVENTS))
+    def test_trace_counts_and_order(self, backend, length):
+        aes_blocks, sha2_blocks = RECORD_EVENTS[length]
+        counts = {
+            "aes.block": aes_blocks,
+            "hmac.call": 1,
+            "sha2.block": sha2_blocks,
+        }
+        with use_backend(backend):
+            a, b = session_pair(KS)
+            with trace.trace() as sent:
+                record = a.encrypt(bytes(length))
+            with trace.trace() as received:
+                assert b.decrypt(record) == bytes(length)
+        for side, cost in (("encrypt", sent), ("decrypt", received)):
+            expected = [
+                (event, counts[event])
+                for event in EVENT_ORDER[backend, side]
+                if counts[event]
+            ]
+            assert list(cost.counts.items()) == expected
+
+    def test_one_cipher_per_session_endpoint(self):
+        with profiled_backend(base="accelerated") as profiler:
+            a, b = session_pair(KS)
+            for i in range(5):
+                b.decrypt(a.encrypt(b"record %d" % i))
+        assert profiler.timings["aes"]["calls"] == 2
+
+    def test_backend_switch_mid_session(self):
+        sender = SecureSession(KS, "A")
+        sent = []
+        for backend in BACKENDS:
+            with use_backend(backend):
+                for i in range(2):
+                    payload = b"%s record %d " % (backend.encode(), i) * 3
+                    sent.append((payload, sender.encrypt(payload)))
+        fresh_peer = SecureSession(KS, "B")
+        for payload, record in sent:
+            assert fresh_peer.decrypt(record) == payload

@@ -49,9 +49,16 @@ class TestByteHelpers:
         assert constant_time_equal(b"abc", b"abc")
         assert not constant_time_equal(b"abc", b"abd")
         assert not constant_time_equal(b"abc", b"abcd")
+        assert constant_time_equal(b"", b"")
+        assert not constant_time_equal(b"", b"a")
+        assert constant_time_equal(bytearray(b"abc"), memoryview(b"abc"))
+        assert not constant_time_equal(memoryview(b"abc"), bytearray(b"abd"))
+        assert not constant_time_equal(bytearray(b"ab"), memoryview(b"abc"))
 
     def test_xor_bytes(self):
         assert xor_bytes(b"\x0f\xf0", b"\xff\xff") == b"\xf0\x0f"
+        assert xor_bytes(b"\x00\x01", b"\x00\x00") == b"\x00\x01"
+        assert xor_bytes(b"", b"") == b""
         with pytest.raises(ReproError):
             xor_bytes(b"\x00", b"\x00\x00")
 
