@@ -1,12 +1,17 @@
 """Modular arithmetic over prime fields.
 
-Implemented from scratch (extended Euclid, Tonelli–Shanks) rather than
-delegating to ``pow(x, -1, p)`` so the operations are explicit, auditable and
-traceable: a stand-alone modular inversion is one of the priced events in the
-hardware cost model (``mod.inv``).
+Inversion runs on Python's built-in ``pow(a, -1, m)`` wrapped in explicit
+range checks, typed errors and tracing: a stand-alone modular inversion is
+one of the priced events in the hardware cost model (``mod.inv``).  Square
+roots take one exponentiation for ``p ≡ 3 (mod 4)`` (every registered
+curve but secp224r1) and Tonelli–Shanks otherwise.  :func:`egcd` and
+:func:`legendre_symbol` stay as the textbook formulas the tests check
+these fast paths against.
 """
 
 from __future__ import annotations
+
+import math
 
 from ..errors import MathError, NonResidueError, NotInvertibleError
 from .. import trace
@@ -40,11 +45,14 @@ def inverse_mod(a: int, m: int) -> int:
     a %= m
     if a == 0:
         raise NotInvertibleError(f"0 has no inverse modulo {m}")
-    g, x, _ = egcd(a, m)
-    if g != 1:
-        raise NotInvertibleError(f"{a} is not invertible modulo {m} (gcd={g})")
+    try:
+        inverse = pow(a, -1, m)
+    except ValueError:
+        raise NotInvertibleError(
+            f"{a} is not invertible modulo {m} (gcd={math.gcd(a, m)})"
+        ) from None
     trace.record("mod.inv")
-    return x % m
+    return inverse
 
 
 def batch_inverse_untraced(values: list[int], m: int) -> list[int]:
@@ -125,10 +133,12 @@ def legendre_symbol(a: int, p: int) -> int:
 def sqrt_mod(a: int, p: int) -> int:
     """A square root of ``a`` modulo an odd prime ``p``.
 
-    Uses the fast exponent shortcut for ``p ≡ 3 (mod 4)`` (all SEC random
-    prime curves qualify) and falls back to Tonelli–Shanks otherwise.  The
-    returned root ``r`` satisfies ``r*r ≡ a (mod p)``; the caller picks the
-    root parity it needs (relevant for SEC 1 point decompression).
+    For ``p ≡ 3 (mod 4)`` (every registered curve but secp224r1) the
+    candidate ``a^((p+1)/4)`` is a root exactly when ``a`` is a residue, so
+    one exponentiation plus a squaring check replaces a separate Legendre
+    test; other primes fall back to Tonelli–Shanks.  The returned root
+    ``r`` satisfies ``r*r ≡ a (mod p)``; the caller picks the root parity
+    it needs (relevant for SEC 1 point decompression).
 
     Raises:
         NonResidueError: if ``a`` is a quadratic non-residue mod ``p``.
@@ -136,10 +146,15 @@ def sqrt_mod(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
+    if p % 4 == 3:
+        root = pow(a, (p + 1) // 4, p)
+        if root * root % p != a:
+            raise NonResidueError(
+                f"{a:#x} is not a quadratic residue mod {p:#x}"
+            )
+        return root
     if legendre_symbol(a, p) != 1:
         raise NonResidueError(f"{a:#x} is not a quadratic residue mod {p:#x}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks: factor p-1 = q * 2^s with q odd.
     q, s = p - 1, 0
     while q % 2 == 0:

@@ -7,6 +7,7 @@ from .ca import (
     IssuedCertificate,
     REQUEST_AUTH_CONTEXT,
 )
+from .cache import KEY_CACHE_ENTRIES, KeyCache
 from .certificate import (
     Certificate,
     ID_SIZE,
@@ -33,6 +34,8 @@ __all__ = [
     "EcqvCredential",
     "ID_SIZE",
     "IssuedCertificate",
+    "KEY_CACHE_ENTRIES",
+    "KeyCache",
     "PROFILE_MINIMAL",
     "REQUEST_AUTH_CONTEXT",
     "TrustStore",

@@ -27,12 +27,12 @@ from ..ecdsa import KeyPair
 from ..errors import CertificateError
 from ..primitives import HmacDrbg
 from .ca import CertificateAuthority, DEFAULT_VALIDITY_SECONDS
+from .cache import KeyCache
 from .certificate import (
     Certificate,
     USAGE_ALL,
     USAGE_CERT_SIGN,
     authority_key_identifier,
-    reconstruct_public_key,
 )
 from .requester import CertificateRequester
 from .validation import ValidationPolicy, validate_certificate
@@ -99,18 +99,25 @@ class TrustStore:
     the fleet has already rolled, which is what forces pre-failure
     credentials to re-enroll after a gateway rejoin.
 
+    Public keys are rebuilt through a :class:`~repro.ecqv.KeyCache`
+    (replaying the device's trace events on a hit); the window, usage and
+    chain-epoch checks run on every resolution.
+
     Args:
         root_public: the fleet root CA public key (the single anchor).
         intermediates: optional initial intermediate certificates.
+        key_cache: the deployment's key cache; a fresh one by default.
     """
 
     def __init__(
         self,
         root_public: Point,
         intermediates: "tuple[Certificate, ...] | list[Certificate]" = (),
+        key_cache: KeyCache | None = None,
     ) -> None:
         self.root_public = root_public
         self.root_key_id = authority_key_identifier(root_public)
+        self.key_cache = key_cache if key_cache is not None else KeyCache()
         self._intermediates: dict[bytes, Certificate] = {}
         #: subject_id -> (current authority key id, current chain epoch)
         self._subjects: dict[bytes, tuple[bytes, int]] = {}
@@ -120,7 +127,7 @@ class TrustStore:
             self.add_intermediate(certificate)
 
     def _register(self, certificate: Certificate, epoch: int) -> bytes:
-        own_public = reconstruct_public_key(certificate, self.root_public)
+        own_public = self.key_cache.reconstruct(certificate, self.root_public)
         key_id = authority_key_identifier(own_public)
         self._intermediates[key_id] = certificate
         self._subjects[certificate.subject_id] = (key_id, epoch)
@@ -166,7 +173,7 @@ class TrustStore:
                 f"subject {certificate.subject_id.hex()} has no live"
                 " intermediate to replace"
             ) from None
-        own_public = reconstruct_public_key(certificate, self.root_public)
+        own_public = self.key_cache.reconstruct(certificate, self.root_public)
         new_key_id = authority_key_identifier(own_public)
         if new_key_id == old_key_id:
             # Re-registering the same key would leave it both live and
@@ -222,7 +229,9 @@ class TrustStore:
         binding and the :data:`USAGE_CERT_SIGN` authorization — and its
         public key reconstructed (one ``ec.mul_point`` plus one
         ``ec.add``, the same Op2-class cost the paper prices for any
-        implicit-certificate reconstruction).
+        implicit-certificate reconstruction).  The validation runs on
+        every call; the reconstruction is charged on every call but
+        computed once per :attr:`key_cache`.
         """
         if certificate.authority_key_id == self.root_key_id:
             return self.root_public
@@ -230,7 +239,7 @@ class TrustStore:
         validate_certificate(
             intermediate, self.root_public, now, _INTERMEDIATE_POLICY
         )
-        return reconstruct_public_key(intermediate, self.root_public)
+        return self.key_cache.reconstruct(intermediate, self.root_public)
 
     def resolve_and_validate(
         self,
@@ -246,4 +255,4 @@ class TrustStore:
         """
         issuer_public = self.resolve_issuer(certificate, now)
         validate_certificate(certificate, issuer_public, now, policy)
-        return reconstruct_public_key(certificate, issuer_public)
+        return self.key_cache.reconstruct(certificate, issuer_public)

@@ -653,6 +653,7 @@ class FleetOrchestrator:
             now=DEFAULT_NOW,
             ephemeral_pool=pool,
             trust_store=self.topology.trust_store,
+            key_cache=self.topology.key_cache,
         )
 
     def _gateway_context_factory(self, shard: GatewayShard):

@@ -44,6 +44,7 @@ from ..ecqv import (
     CertificateAuthority,
     CertificateRequester,
     EcqvCredential,
+    KeyCache,
     TrustStore,
     make_sub_ca,
 )
@@ -170,7 +171,8 @@ class FleetTopology:
     """The provisioned deployment a fleet run executes on.
 
     Builds the root CA (sharded runs), every gateway shard with its
-    chained CA, gateway credential and ephemeral pool, the fleet-wide
+    chained CA, gateway credential and ephemeral pool, the run's
+    :class:`~repro.ecqv.KeyCache`, the fleet-wide
     :class:`~repro.ecqv.TrustStore`, and registers the long-lived public
     points (root key, shard CA keys, gateway keys, shard reconstruction
     points) with :func:`~repro.ec.precompute_point` so the whole run's
@@ -187,6 +189,9 @@ class FleetTopology:
         total = config.shards
         curve = config.curve
         clock = lambda: DEFAULT_NOW  # noqa: E731
+        #: One key cache per fleet run: the trust store and every session
+        #: context of the run decode and rebuild peer keys through it.
+        self.key_cache = KeyCache()
         if total == 1:
             self.root_ca: CertificateAuthority | None = None
             self.trust_store: TrustStore | None = None
@@ -198,7 +203,9 @@ class FleetTopology:
                 clock=clock,
                 require_signed_requests=config.authenticate_requests,
             )
-            self.trust_store = TrustStore(self.root_ca.public_key)
+            self.trust_store = TrustStore(
+                self.root_ca.public_key, key_cache=self.key_cache
+            )
             precompute_point(self.root_ca.public_key)
         self.shards: list[GatewayShard] = [
             self._build_shard(index, total) for index in range(total)

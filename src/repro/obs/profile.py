@@ -13,6 +13,13 @@ reconciles the measured wall time against the ``CostTrace`` counts of
 the same run, and :func:`speedup_table` folds a reference profile and
 an accelerated profile into the per-primitive speedup table
 ``bench_fleet_scale.py --json`` emits.
+
+A row's backend ``calls`` can be lower than its ``trace_count``: the
+trace counts the simulated device's work, the calls count the host's.
+A :class:`~repro.ecqv.KeyCache` hit replays the ``ec.mul_point`` of a
+peer-key reconstruction without calling the backend, so a fleet that
+re-keys makes fewer ``ec_mul`` calls than it records ``ec.mul_point``
+events.
 """
 
 from __future__ import annotations

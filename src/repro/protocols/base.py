@@ -18,8 +18,15 @@ from typing import Iterator
 
 from .. import trace
 from ..ec import Point
-from ..ecqv import EcqvCredential, TrustStore, ValidationPolicy
-from ..errors import ProtocolError
+from ..ecqv import (
+    Certificate,
+    EcqvCredential,
+    KeyCache,
+    TrustStore,
+    ValidationPolicy,
+    validate_certificate,
+)
+from ..errors import AuthenticationError, ProtocolError
 from ..primitives import HmacDrbg
 from .pool import EphemeralPool
 
@@ -131,6 +138,10 @@ class SessionContext:
             *different* subordinate CAs (cross-shard fleet members)
             authenticate via the shared root.  ``None`` keeps the classic
             single-CA path where ``ca_public`` is the direct issuer.
+        key_cache: the :class:`~repro.ecqv.KeyCache` that decodes peer
+            certificates and rebuilds peer keys in :meth:`peer_public_key`.
+            A fleet run shares one across all its contexts; by default
+            every context gets a fresh one.
     """
 
     credential: EcqvCredential
@@ -141,6 +152,7 @@ class SessionContext:
     pre_shared_keys: dict[bytes, bytes] = field(default_factory=dict)
     ephemeral_pool: "EphemeralPool | None" = None
     trust_store: "TrustStore | None" = None
+    key_cache: KeyCache = field(default_factory=KeyCache)
 
     @property
     def device_id(self) -> bytes:
@@ -160,6 +172,32 @@ class SessionContext:
         if self.trust_store is not None:
             return self.trust_store.resolve_issuer(certificate, self.now)
         return self.ca_public
+
+    def peer_public_key(
+        self, cert_bytes: bytes, announced_id: bytes
+    ) -> tuple[Certificate, Point]:
+        """Authenticate a peer certificate and rebuild its key (Eq. 1).
+
+        Decodes the certificate, requires its subject to be the identity
+        the peer announced in its first message, resolves the issuer
+        (:meth:`issuer_public_for`), applies :attr:`policy`, and
+        reconstructs the peer's public key.  Decoding and reconstruction
+        go through :attr:`key_cache`; the checks run on every call.
+
+        Raises:
+            AuthenticationError: the certificate's subject is not
+                ``announced_id``.
+            CertificateError: the certificate is malformed or fails
+                validation.
+        """
+        cert = self.key_cache.decode(cert_bytes)
+        if cert.subject_id != announced_id:
+            raise AuthenticationError(
+                "peer certificate subject differs from its announced identity"
+            )
+        issuer_public = self.issuer_public_for(cert)
+        validate_certificate(cert, issuer_public, self.now, self.policy)
+        return cert, self.key_cache.reconstruct(cert, issuer_public)
 
 
 class Party(ABC):

@@ -23,7 +23,7 @@ small (Table I shows ~0–3 %).
 from __future__ import annotations
 
 from ..ecdsa import Signature, sign, static_shared_secret, verify
-from ..ecqv import Certificate, reconstruct_public_key, validate_certificate
+from ..ecqv import Certificate
 from ..errors import AuthenticationError, ProtocolError
 from ..primitives import cbc_decrypt, cbc_encrypt, hmac
 from ..utils import constant_time_equal
@@ -64,6 +64,7 @@ class SEcdsaParty(Party):
         self.extended = extended
         self._nonce_own: bytes | None = None
         self._nonce_peer: bytes | None = None
+        self._announced_peer_id: bytes | None = None
         self._peer_cert: Certificate | None = None
         self._peer_public = None
 
@@ -82,18 +83,14 @@ class SEcdsaParty(Party):
     def _reconstruct_and_verify(self, cert_bytes: bytes, sig_bytes: bytes) -> None:
         """OP2 + OP4: implicit key reconstruction, then signature check."""
         with self.operation("pubkey_reconstruction", OP2):
-            cert = Certificate.decode(cert_bytes)
-            issuer_public = self.ctx.issuer_public_for(cert)
-            validate_certificate(
-                cert, issuer_public, self.ctx.now, self.ctx.policy
+            self._peer_cert, self._peer_public = self.ctx.peer_public_key(
+                cert_bytes, self._announced_peer_id
             )
-            self._peer_cert = cert
-            self._peer_public = reconstruct_public_key(cert, issuer_public)
         with self.operation("verify_peer_signature", OP4):
             curve = self.ctx.credential.certificate.curve
             signature = Signature.from_bytes(curve, sig_bytes)
             peer_role = ROLE_B if self.role == ROLE_A else ROLE_A
-            payload = self._sign_payload(cert.subject_id, peer_role)
+            payload = self._sign_payload(self._peer_cert.subject_id, peer_role)
             if not verify(self._peer_public, payload, signature):
                 raise AuthenticationError(
                     f"S-ECDSA: peer signature invalid at {self.role}"
@@ -177,6 +174,7 @@ class SEcdsaParty(Party):
                 ),
             )
         if incoming.label == "B1":
+            self._announced_peer_id = incoming.field_value("ID")
             self._nonce_peer = incoming.field_value("Nonce")
             self._reconstruct_and_verify(
                 incoming.field_value("Cert"), incoming.field_value("Sign")
@@ -209,6 +207,7 @@ class SEcdsaParty(Party):
         if incoming is None:
             raise ProtocolError("S-ECDSA responder cannot initiate")
         if incoming.label == "A1":
+            self._announced_peer_id = incoming.field_value("ID")
             self._nonce_peer = incoming.field_value("Nonce")
             with self.operation("nonce_generation", OP_SYM):
                 self._nonce_own = self.ctx.rng.generate(NONCE_SIZE)

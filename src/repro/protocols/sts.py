@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from ..ecdsa import Signature, ephemeral_shared_secret, sign, verify
 from ..ec import mul_base
-from ..ecqv import Certificate, reconstruct_public_key, validate_certificate
+from ..ecqv import Certificate
 from ..errors import AuthenticationError, ProtocolError
 from .base import (
     Message,
@@ -81,6 +81,7 @@ class StsParty(Party):
         self._ephemeral: int | None = None
         self._xg_own: bytes | None = None
         self._xg_peer: bytes | None = None
+        self._announced_peer_id: bytes | None = None
         self._peer_cert: Certificate | None = None
 
     # -- shared building blocks ------------------------------------------------
@@ -115,23 +116,6 @@ class StsParty(Party):
         else:
             salt = self._xg_peer + self._xg_own
         self.session_key = derive_session_key(premaster, salt)
-
-    def _reconstruct_peer_key(self, cert_bytes: bytes):
-        """Implicit public key derivation (Eq. 1) with policy validation.
-
-        With a :class:`~repro.ecqv.TrustStore` on the context, the peer's
-        issuer is resolved through the certificate chain first (so a peer
-        enrolled at a different subordinate CA — a cross-shard vehicle —
-        validates against the shared root); without one, ``ctx.ca_public``
-        is the direct issuer exactly as in the single-CA deployment.
-        """
-        cert = Certificate.decode(cert_bytes)
-        issuer_public = self.ctx.issuer_public_for(cert)
-        validate_certificate(
-            cert, issuer_public, self.ctx.now, self.ctx.policy
-        )
-        self._peer_cert = cert
-        return reconstruct_public_key(cert, issuer_public)
 
     def _sign_payload(self) -> bytes:
         """The ``XG_own || XG_peer`` byte string this station signs."""
@@ -182,10 +166,11 @@ class StsParty(Party):
                 ),
             )
         if incoming.label == "B1":
+            self._announced_peer_id = incoming.field_value("ID")
             self._xg_peer = incoming.field_value("XG")
             with self.operation("pubkey_and_premaster", OP2):
-                peer_public = self._reconstruct_peer_key(
-                    incoming.field_value("Cert")
+                self._peer_cert, peer_public = self.ctx.peer_public_key(
+                    incoming.field_value("Cert"), self._announced_peer_id
                 )
                 self._derive_key()
             with self.operation("verify_response", OP4):
@@ -210,6 +195,7 @@ class StsParty(Party):
     def _advance_responder(self, incoming: Message | None) -> Message | None:
         msg = self._expect(incoming, "A1" if self._xg_peer is None else "A2")
         if msg.label == "A1":
+            self._announced_peer_id = msg.field_value("ID")
             self._xg_peer = msg.field_value("XG")
             self._op1_generate_ephemeral()
             with self.operation("premaster_derivation", OP2):
@@ -228,7 +214,9 @@ class StsParty(Party):
             )
         # A2: the initiator's certificate and encrypted signature.
         with self.operation("pubkey_reconstruction", OP2):
-            peer_public = self._reconstruct_peer_key(msg.field_value("Cert"))
+            self._peer_cert, peer_public = self.ctx.peer_public_key(
+                msg.field_value("Cert"), self._announced_peer_id
+            )
         with self.operation("verify_response", OP4):
             self._check_response(msg.field_value("Resp"), peer_public)
         self._finish(self.session_key, self._peer_cert.subject_id)

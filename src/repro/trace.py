@@ -25,6 +25,11 @@ Tracing is nestable: multiple :class:`CostTrace` objects may be active at
 once (e.g. a per-operation trace inside a per-protocol trace) and each
 records every event.  When no trace is active, :func:`record` is a cheap
 no-op, so the primitives stay usable as an ordinary crypto library.
+
+A memoized computation keeps the device's bill intact with
+:class:`capture` and :func:`replay`: the first run records its ordered
+event stream, and every later hit replays that stream into the active
+traces instead of redoing the host work.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from __future__ import annotations
 from collections import Counter
 from contextvars import ContextVar
 
-_ACTIVE: ContextVar[tuple["CostTrace", ...]] = ContextVar(
+#: Active recorders: every open :class:`CostTrace` plus any open
+#: :class:`capture`; each has a ``record(event, n)`` method.
+_ACTIVE: ContextVar[tuple["CostTrace | capture", ...]] = ContextVar(
     "repro_active_traces", default=()
 )
 
@@ -93,7 +100,7 @@ def record(event: str, n: int = 1) -> None:
 
 
 def tracing_active() -> bool:
-    """Return True if at least one :class:`CostTrace` is active."""
+    """Return True if at least one :class:`CostTrace` or :class:`capture` is active."""
     return bool(_ACTIVE.get())
 
 
@@ -121,3 +128,51 @@ class trace:  # noqa: N801 - called like a function: ``with trace.trace():``
 
     def __exit__(self, *exc_info) -> None:
         _ACTIVE.reset(self._token)
+
+
+class capture:  # noqa: N801 - used like ``trace``: ``with capture() as c:``
+    """Context manager that keeps the ordered event stream of a block.
+
+    Events still reach every active trace exactly once; the capture
+    additionally appends each ``(event, n)`` call, in order, to
+    :attr:`events`, so :func:`replay` can charge the same stream later.
+    It records even when no trace is active, and it is not a
+    :class:`trace` scope.
+
+    Example::
+
+        with capture() as c:
+            mul_point(k, p)
+        with trace() as t:
+            replay(c.events)
+        assert t["ec.mul_point"] == 1
+    """
+
+    __slots__ = ("events", "_token")
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, int]] = []
+
+    def record(self, event: str, n: int = 1) -> None:
+        """Append one ``(event, n)`` call to the captured stream."""
+        self.events.append((event, n))
+
+    def __enter__(self) -> "capture":
+        self._token = _ACTIVE.set(_ACTIVE.get() + (self,))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _ACTIVE.reset(self._token)
+
+
+def replay(events) -> None:
+    """Record a captured ``(event, n)`` stream again, call by call.
+
+    Every active recorder sees the same calls in the same order as when
+    the stream was captured, so counts and first-seen order match.
+    """
+    traces = _ACTIVE.get()
+    if traces:
+        for event, n in events:
+            for t in traces:
+                t.record(event, n)

@@ -13,11 +13,22 @@ from repro.ec.modular import (
     legendre_symbol,
     sqrt_mod,
 )
+from repro import trace
 from repro.errors import MathError, NonResidueError, NotInvertibleError
 
 P256 = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
 P192 = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFFFFFFFFFFFF
+#: secp224r1's field prime: p ≡ 1 (mod 2^96), so its square roots still
+#: take Tonelli–Shanks.
+P224 = 2**224 - 2**96 + 1
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 101, 257, 65537]
+
+
+def _first_non_residue(p: int) -> int:
+    z = 2
+    while legendre_symbol(z, p) != -1:
+        z += 1
+    return z
 
 
 class TestEgcd:
@@ -122,6 +133,50 @@ class TestSqrtMod:
         square = a * a % p
         root = sqrt_mod(square, p)
         assert root * root % p == square
+
+
+class TestFastPathsMatchFormulas:
+    """``inverse_mod``/``sqrt_mod`` against the egcd and Legendre formulas."""
+
+    @given(st.integers(-(2**300), 2**300), st.integers(2, 2**260))
+    @settings(max_examples=200)
+    def test_inverse_matches_egcd(self, a, m):
+        g, x, _ = egcd(a % m, m)
+        with trace.trace() as cost:
+            if g == 1:
+                assert inverse_mod(a, m) == x % m
+            else:
+                with pytest.raises(NotInvertibleError):
+                    inverse_mod(a, m)
+        assert cost.as_dict() == ({"mod.inv": 1} if g == 1 else {})
+
+    @given(
+        st.integers(2, 2**128), st.integers(1, 2**128), st.integers(2, 2**128)
+    )
+    @settings(max_examples=50)
+    def test_non_invertible_names_the_gcd(self, g, a, b):
+        m = g * b
+        if (g * a) % m == 0:
+            return  # the zero residue has its own message
+        gcd = egcd(g * a % m, m)[0]
+        with pytest.raises(NotInvertibleError, match=f"gcd={gcd}\\)"):
+            inverse_mod(g * a, m)
+
+    @pytest.mark.parametrize("p", [P256, P224])
+    @given(x=st.integers(1, 2**256), residue=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_sqrt_matches_legendre(self, p, x, residue):
+        square = x * x % p
+        a = square if residue else _first_non_residue(p) * square % p
+        if legendre_symbol(a, p) == -1:
+            with pytest.raises(NonResidueError):
+                sqrt_mod(a, p)
+            return
+        root = sqrt_mod(a, p)
+        assert root * root % p == a % p
+        if p % 4 == 3:
+            # The same root the Legendre-then-exponentiate path returned.
+            assert root == pow(a, (p + 1) // 4, p)
 
 
 class TestCrt:

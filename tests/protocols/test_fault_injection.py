@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import ReproError
+from repro.errors import AuthenticationError, ReproError
 from repro.protocols import Message, TABLE_ORDER, get_protocol
 from repro.testbed import make_testbed
 
@@ -37,6 +37,29 @@ def _corrupt(message: Message, byte_index: int, xor_value: int) -> Message:
     return Message(message.sender, message.label, tuple(fields))
 
 
+def _drive_with_corruption(
+    protocol: str, target_step: int, byte_index: int, xor_value: int
+):
+    """Run a session corrupting the ``target_step``-th message.
+
+    Returns both parties; a library error propagates.
+    """
+    ctx_a, ctx_b = TESTBED.context_pair("alice", "bob", protocol)
+    party_a, party_b = get_protocol(protocol).factory(ctx_a, ctx_b)
+    outgoing = party_a.advance(None)
+    step = 0
+    current, other = party_b, party_a
+    while outgoing is not None:
+        if step == target_step:
+            outgoing = _corrupt(outgoing, byte_index, xor_value)
+        outgoing = current.advance(outgoing)
+        current, other = other, current
+        step += 1
+        if step > 16:
+            raise AssertionError("runaway protocol")
+    return party_a, party_b
+
+
 def _run_with_corruption(
     protocol: str, target_step: int, byte_index: int, xor_value: int
 ) -> tuple[str, bool]:
@@ -45,20 +68,10 @@ def _run_with_corruption(
     Returns ``(outcome, keys_equal)`` where outcome is ``"completed"`` or
     ``"aborted"``.
     """
-    ctx_a, ctx_b = TESTBED.context_pair("alice", "bob", protocol)
-    party_a, party_b = get_protocol(protocol).factory(ctx_a, ctx_b)
     try:
-        outgoing = party_a.advance(None)
-        step = 0
-        current, other = party_b, party_a
-        while outgoing is not None:
-            if step == target_step:
-                outgoing = _corrupt(outgoing, byte_index, xor_value)
-            outgoing = current.advance(outgoing)
-            current, other = other, current
-            step += 1
-            if step > 16:
-                raise AssertionError("runaway protocol")
+        party_a, party_b = _drive_with_corruption(
+            protocol, target_step, byte_index, xor_value
+        )
     except ReproError:
         return "aborted", False
     if not (party_a.complete and party_b.complete):
@@ -125,3 +138,13 @@ class TestTargetedCorruption:
         for index in (0, 16, 31):
             outcome, _ = self._outcome("poramb", 0, index)
             assert outcome == "aborted"
+
+    @pytest.mark.parametrize("protocol", ["sts", "s-ecdsa"])
+    @pytest.mark.parametrize("step", [0, 1], ids=["A1", "B1"])
+    def test_announced_identity_must_match_certificate(self, protocol, step):
+        # A1 and B1 both open with ID(16): a flipped ID byte announces an
+        # identity the certificate does not carry, so the run must abort
+        # even though every signature still checks out.
+        for index in (0, 7, 15):
+            with pytest.raises(AuthenticationError, match="announced identity"):
+                _drive_with_corruption(protocol, step, index, 0x01)

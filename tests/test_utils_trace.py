@@ -114,6 +114,52 @@ class TestTrace:
         assert not trace.tracing_active()
 
 
+class TestCaptureReplay:
+    def test_capture_records_each_event_once_and_in_order(self):
+        with trace.trace() as outer:
+            trace.record("a")
+            with trace.capture() as captured:
+                trace.record("b", 3)
+                trace.record("a")
+                trace.record("c")
+        assert captured.events == [("b", 3), ("a", 1), ("c", 1)]
+        assert outer.as_dict() == {"a": 2, "b": 3, "c": 1}
+        assert list(outer.counts) == ["a", "b", "c"]
+
+    def test_capture_works_without_an_active_trace(self):
+        with trace.capture() as captured:
+            trace.record("x", 2)
+        assert captured.events == [("x", 2)]
+        assert not trace.tracing_active()
+
+    def test_replay_matches_the_original_counts_and_order(self):
+        with trace.trace() as first:
+            with trace.capture() as captured:
+                trace.record("sha2.block")
+                trace.record("ec.mul_point")
+                trace.record("sha2.block", 2)
+        with trace.trace() as again:
+            trace.replay(captured.events)
+        assert again.as_dict() == first.as_dict()
+        assert list(again.counts) == list(first.counts)
+
+    def test_replay_reaches_every_active_recorder(self):
+        with trace.trace() as outer, trace.capture() as nested:
+            trace.replay([("x", 1), ("y", 4)])
+        assert outer.as_dict() == {"x": 1, "y": 4}
+        assert nested.events == [("x", 1), ("y", 4)]
+
+    def test_replay_without_trace_is_noop(self):
+        trace.replay([("x", 1)])
+        assert not trace.tracing_active()
+
+    def test_capture_exits_cleanly_on_error(self):
+        with pytest.raises(ValueError):
+            with trace.capture():
+                raise ValueError("boom")
+        assert not trace.tracing_active()
+
+
 class TestTestbed:
     def test_device_id(self):
         assert device_id("bms") == b"bms" + b"-" * 13
