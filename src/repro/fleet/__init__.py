@@ -59,9 +59,13 @@ from .policy import (
     FailoverSpread,
     FleetState,
     POLICY_BUNDLES,
+    POLICY_LEAST_LOADED,
+    POLICY_ROUND_ROBIN,
     POLICY_RULES,
+    POLICY_STATIC_HASH,
     PolicyEngine,
     RoamCadence,
+    SHARD_POLICIES,
     SessionExpiryRekey,
     ShardPolicyAssign,
     ShardView,
@@ -88,11 +92,7 @@ from .stats import (
 from .topology import (
     FleetTopology,
     GatewayShard,
-    POLICY_LEAST_LOADED,
-    POLICY_ROUND_ROBIN,
-    POLICY_STATIC_HASH,
     ROOT_CA_NAME,
-    SHARD_POLICIES,
     plan_v2v_pairs,
     shard_ca_name,
     shard_gateway_name,

@@ -75,7 +75,7 @@ from ..errors import (
     SimulationError,
 )
 from ..hardware import DeviceModel, get_device
-from ..primitives import HmacDrbg, sha256
+from ..primitives import HmacDrbg
 from ..protocols import (
     SessionContext,
     SessionExpired,
@@ -88,12 +88,20 @@ from ..protocols.pool import EphemeralPool
 from ..protocols.registry import get_protocol
 from ..sim.engine import Simulator
 from ..testbed import DEFAULT_NOW, device_id
+from .parallel import (
+    WorkerSnapshot,
+    _COUNTER_FIELDS,
+    _merge,
+    partition_plan,
+)
 from .policy import (
+    SHARD_POLICIES,
     FleetState,
     PolicyEngine,
     ShardView,
     VehicleView,
     resolve_policies,
+    static_hash_index,
 )
 from .scenario import (
     CaQueueFlood,
@@ -103,18 +111,11 @@ from .scenario import (
     UniformArrivals,
     compile_scenario,
 )
-from .stats import (
-    ExactSum,
-    FleetStats,
-    InjectionStats,
-    StreamingLatency,
-    merge_shard_stats,
-)
+from .stats import ExactSum, FleetStats, ShardStats, StreamingLatency
 from .topology import (
     FleetTopology,
     GATEWAY_NAME,
     GatewayShard,
-    SHARD_POLICIES,
     plan_v2v_pairs,
 )
 from .vehicle import Vehicle
@@ -169,7 +170,7 @@ class FleetConfig:
             single-gateway fleet bit-for-bit; ``>1`` chains every shard
             CA to a fleet root and shares a trust store fleet-wide.
         shard_policy: shard-assignment policy, one of
-            :data:`~repro.fleet.topology.SHARD_POLICIES`.
+            :data:`~repro.fleet.policy.SHARD_POLICIES`.
         v2v_fraction: fraction of the fleet paired into direct
             vehicle↔vehicle sessions (0 disables; pairs are planned
             deterministically from the seed).
@@ -205,15 +206,10 @@ class FleetConfig:
             scalar multiplication** through ``hashlib``/OpenSSL for
             fleet-scale sweeps (EC being ~90 % of accelerated
             wall-clock before the EC seam landed).
-        observe: attach a default :class:`repro.obs.Observer` to the
-            run when no explicit ``obs`` is passed to the orchestrator;
-            the observer comes back on :attr:`FleetResult.obs`.
-            Observability is digest-neutral — hooks only read state —
-            so this knob never changes simulated results either.
         workers: worker *processes* the run executes on.  ``1`` (the
-            default) is today's in-process event loop, bit-identical to
-            every historical run.  ``workers > 1`` partitions the
-            gateway shards round-robin across worker processes when the
+            default) runs every shard in-process, as one partition.
+            ``workers > 1`` partitions the gateway shards round-robin
+            across worker processes when the
             configuration is provably shard-independent (static-hash
             placement, ``shards >= 2``, no V2V, no failover/rejoin, no
             re-balancing, no roaming profiles, no stale-cert floods —
@@ -222,7 +218,7 @@ class FleetConfig:
             barrier merge reproduces the single-worker
             :class:`~repro.fleet.stats.FleetStats` digest **bit-for-bit**
             via the proven merge laws.  Configurations whose shards are
-            dynamically coupled fall back to the serial loop (same
+            dynamically coupled run as one in-process partition (same
             digest trivially).  Workers are capped at the shard count.
         stream: constant-memory streaming mode.  Releases per-vehicle
             timeline events and ephemeral pools (and, for vehicles
@@ -291,7 +287,6 @@ class FleetConfig:
     migrate_threshold: int | None = None
     authenticate_requests: bool = False
     backend: str | None = None
-    observe: bool = False
     workers: int = 1
     stream: bool = False
     policy: str | None = None
@@ -443,8 +438,7 @@ class FleetResult:
     """Everything a fleet run produces.
 
     ``obs`` carries the :class:`repro.obs.Observer` that watched the
-    run when one was attached (explicitly or via
-    :attr:`FleetConfig.observe`), ``None`` otherwise.
+    run when one was attached, ``None`` otherwise.
     """
 
     stats: FleetStats
@@ -470,10 +464,6 @@ class FleetOrchestrator:
         scenario: "Scenario | None" = None,
         obs=None,
     ) -> None:
-        if obs is None and config.observe:
-            from ..obs import Observer
-
-            obs = Observer()
         self.obs = obs
         if obs is not None:
             from ..obs.fleet import FleetInstrumentation
@@ -486,12 +476,7 @@ class FleetOrchestrator:
         self.schedule = (
             compile_scenario(scenario, config) if scenario is not None else None
         )
-        if config.workers > 1:
-            from .parallel import partition_plan
-
-            self._plan = partition_plan(config, self.schedule)
-        else:
-            self._plan = None
+        self._plan = partition_plan(config, self.schedule)
         if self._plan is not None:
             # Parallel run: provisioning happens inside each worker
             # process (every worker builds the full deterministic
@@ -586,6 +571,7 @@ class FleetOrchestrator:
         self._establishment_latencies = StreamingLatency()
         self._queue_latencies = StreamingLatency()
         self._v2v_latencies = StreamingLatency()
+        self._enrollments = 0
         self._sessions_established = 0
         self._rekeys = 0
         self._records_sent = 0
@@ -636,10 +622,6 @@ class FleetOrchestrator:
         self.policy = PolicyEngine(
             resolve_policies(config, self.schedule), hooks=self._hooks
         )
-        # The assignment point lives inside FleetTopology.assign (after
-        # the pinned-shard check), so every caller — enrollment, failover
-        # requeue, handover — routes through the same policy decision.
-        self.topology.policy_hook = self._assign_decision
 
     # -- deterministic context factories --------------------------------------
 
@@ -710,7 +692,7 @@ class FleetOrchestrator:
         self._vehicle_energy.add(self.vehicle_device.energy_mj(cost))
 
         def submit() -> None:
-            shard = self.topology.assign(vehicle)
+            shard = self._assign(vehicle)
             vehicle.shard = shard.index
             shard.vehicles_assigned += 1
             shard.active_vehicles += 1
@@ -848,6 +830,7 @@ class FleetOrchestrator:
                 then()
                 return
             vehicle.enrolled_at = self.sim.now
+            self._enrollments += 1
             self._enrollment_latencies.add(
                 self.sim.now - vehicle.arrival_ms
             )
@@ -996,20 +979,22 @@ class FleetOrchestrator:
             last_storm_ms=self._last_storm_ms,
         )
 
-    def _assign_decision(self, vehicle: Vehicle) -> "GatewayShard | None":
-        """Topology hook: the shard-assignment decision point.
+    def _assign(self, vehicle: Vehicle) -> GatewayShard:
+        """Placement: the alive convoy pin, else the assign decision point.
 
-        Consulted by :meth:`FleetTopology.assign` after its pinned-shard
-        check; ``None`` (no assign rules, or every rule passed) falls
-        back to the topology's own legacy arithmetic.
+        Every placement — enrollment, failover requeue, handover — routes
+        through here.  A convoy pin wins while its shard is alive and
+        falls back to the policy (failover adoption) while it is down.
         """
-        if not self.policy.has_rules("assign"):
-            return None
+        if vehicle.pinned_shard is not None:
+            pinned = self.shards[vehicle.pinned_shard]
+            if not pinned.failed:
+                return pinned
         decision = self.policy.decide(
             "assign", self._policy_state("assign", vehicle)
         )
         if decision is None:
-            return None
+            raise SimulationError("no alive gateway shard to assign to")
         return self.shards[decision.target_shard]
 
     def _adopt_target(self, vehicle: Vehicle) -> GatewayShard:
@@ -1017,8 +1002,7 @@ class FleetOrchestrator:
 
         A failover rule picks the adopting shard; with none installed
         (the ``default`` bundle) adoption falls through to
-        :meth:`FleetTopology.assign` — the legacy behavior, which itself
-        routes placement through the assignment point.
+        :meth:`_assign`.
         """
         if self.policy.has_rules("failover"):
             decision = self.policy.decide(
@@ -1026,7 +1010,7 @@ class FleetOrchestrator:
             )
             if decision is not None:
                 return self.shards[decision.target_shard]
-        return self.topology.assign(vehicle)
+        return self._assign(vehicle)
 
     # -- churn: rejoin, migration, re-enrollment --------------------------------
 
@@ -1791,12 +1775,15 @@ class FleetOrchestrator:
         the selection.
 
         With ``workers > 1`` and a provably shard-independent
-        configuration the shards execute in worker processes and the
-        snapshots merge at the barrier (:mod:`repro.fleet.parallel`);
-        the merged digest is bit-identical to the serial one.  Coupled
-        configurations fall back to the serial loop.
+        configuration the shards execute in worker processes
+        (:mod:`repro.fleet.parallel`).  Otherwise the run is one
+        partition that owns every shard.  Either way the partition
+        snapshots fold into the stats through the same merge, so the
+        digest does not depend on the worker count.
         """
         if self._plan is not None:
+            # Looked up at call time, so a wrapper installed on the
+            # module (the per-layer profiler's) sees the call.
             from .parallel import run_parallel
 
             return run_parallel(
@@ -1808,85 +1795,70 @@ class FleetOrchestrator:
                 max_events=max_events,
             )
         with use_backend(self.config.backend):
-            return self._run(max_events)
-
-    # -- process-parallel support -------------------------------------------
+            snapshot = self._run_partition(
+                frozenset(range(self.config.shards)), max_events
+            )
+            stats = _merge(
+                self.config, self.scenario, self.schedule, [snapshot]
+            )
+            if self._hooks is not None:
+                self._hooks.run_finished(self, stats)
+        return FleetResult(stats=stats, vehicles=self.vehicles, obs=self.obs)
 
     def _predicted_shard(self, vehicle: Vehicle) -> int:
         """The shard a vehicle will be assigned to, computed statically.
 
         Only valid under the parallel-execution preconditions
         (:func:`repro.fleet.parallel.partition_plan`): static-hash
-        placement with every shard alive, where assignment is a pure
-        function of the vehicle identity (or its scenario shard pin) —
-        the same arithmetic :meth:`FleetTopology.assign` runs.
+        placement with every shard alive, where :meth:`_assign` returns
+        the vehicle's scenario shard pin or its :func:`static_hash_index`.
         """
         if vehicle.pinned_shard is not None:
             return vehicle.pinned_shard
-        digest = sha256(b"fleet|shard-assign|" + vehicle.device_id)
-        return int.from_bytes(digest[:8], "big") % self.config.shards
+        return static_hash_index(vehicle.device_id, self.config.shards)
 
-    def _run_partition(self, owned: frozenset, max_events: int) -> None:
+    def _run_partition(
+        self, owned: frozenset, max_events: int
+    ) -> WorkerSnapshot:
         """Drive only the event streams of the ``owned`` shards.
 
         Schedules arrivals for vehicles statically assigned to an owned
-        shard and injections targeting an owned shard, in the exact
-        relative order the serial loop schedules them — so by induction
-        every owned shard sees a bit-identical event stream (shard
-        streams are independent under the partition-plan preconditions,
-        and co-timed events keep their scheduling order because omitted
-        foreign events never interleave *within* a shard's stream).
-        Runs under the caller's backend scope; stats assembly is the
-        caller's job (:mod:`repro.fleet.parallel` merges snapshots).
+        shard, the fail/rejoin events and injections of an owned shard
+        (a stale-cert flood targets ``fail_shard``), in the order a run
+        owning every shard schedules them — so by induction every owned
+        shard sees a bit-identical event stream (shard streams are
+        independent under the partition-plan preconditions, and co-timed
+        events keep their scheduling order because omitted foreign
+        events never interleave *within* a shard's stream).  Runs under
+        the caller's backend scope and returns the merge-ready snapshot.
         """
         if self._hooks is not None:
             self._hooks.run_started(self)
-        for vehicle in self.vehicles:
-            if self._predicted_shard(vehicle) not in owned:
-                continue
-            self.sim.schedule_at(
-                vehicle.arrival_ms, (lambda v: lambda: self._arrive(v))(vehicle)
-            )
-        if self.schedule is not None:
-            for index, spec in enumerate(self.schedule.injections):
-                if getattr(spec, "target_shard", None) not in owned:
-                    continue
-                self.sim.schedule_at(
-                    spec.at_ms,
-                    (
-                        lambda i, s: lambda: self._run_injection(i, s)
-                    )(index, spec),
-                )
-        self.sim.run(max_events=max_events)
-        unfinished = [
-            v.name
-            for v in self.vehicles
-            if v.done_at is None and self._predicted_shard(v) in owned
+        everything = len(owned) == self.config.shards
+        mine = [
+            vehicle
+            for vehicle in self.vehicles
+            if everything or self._predicted_shard(vehicle) in owned
         ]
-        if unfinished:
-            raise SimulationError(
-                f"fleet partition ended with unfinished vehicles:"
-                f" {unfinished[:5]}"
-            )
-
-    def _run(self, max_events: int) -> FleetResult:
-        """The storm itself (already scoped to the configured backend)."""
-        if self._hooks is not None:
-            self._hooks.run_started(self)
-        for vehicle in self.vehicles:
+        for vehicle in mine:
             self.sim.schedule_at(
                 vehicle.arrival_ms, (lambda v: lambda: self._arrive(v))(vehicle)
             )
-        if self.config.shard_fail_at_ms is not None:
-            self.sim.schedule_at(
-                self.config.shard_fail_at_ms, self._fail_shard
-            )
-        if self.config.shard_rejoin_at_ms is not None:
-            self.sim.schedule_at(
-                self.config.shard_rejoin_at_ms, self._rejoin_shard
-            )
-        if self.schedule is not None:
-            for index, spec in enumerate(self.schedule.injections):
+        if self.config.fail_shard in owned:
+            if self.config.shard_fail_at_ms is not None:
+                self.sim.schedule_at(
+                    self.config.shard_fail_at_ms, self._fail_shard
+                )
+            if self.config.shard_rejoin_at_ms is not None:
+                self.sim.schedule_at(
+                    self.config.shard_rejoin_at_ms, self._rejoin_shard
+                )
+        injections = (
+            self.schedule.injections if self.schedule is not None else ()
+        )
+        for index, spec in enumerate(injections):
+            target = getattr(spec, "target_shard", self.config.fail_shard)
+            if target in owned:
                 self.sim.schedule_at(
                     spec.at_ms,
                     (
@@ -1894,7 +1866,7 @@ class FleetOrchestrator:
                     )(index, spec),
                 )
         self.sim.run(max_events=max_events)
-        unfinished = [v.name for v in self.vehicles if v.done_at is None]
+        unfinished = [v.name for v in mine if v.done_at is None]
         if unfinished:
             raise SimulationError(
                 f"fleet run ended with unfinished vehicles: {unfinished[:5]}"
@@ -1909,68 +1881,50 @@ class FleetOrchestrator:
                 f"fleet run ended with unfinished V2V pairs:"
                 f" {unfinished_pairs[:5]}"
             )
-        now = self.sim.now
-        per_shard = tuple(shard.stats(now) for shard in self.shards)
-        merged = merge_shard_stats(per_shard)
-        stats = FleetStats(
-            vehicles=len(self.vehicles),
-            enrollments=sum(1 for v in self.vehicles if v.enrolled),
-            sessions_established=self._sessions_established,
-            rekeys=self._rekeys,
-            records_sent=self._records_sent,
-            duration_ms=now,
-            ca_busy_ms=merged["ca_busy_ms"],
-            # Mean per-shard utilisation: summed busy time over the
-            # wall-clock available across all shard resources.  For one
-            # shard this is exactly the resource's own utilisation (PR 1
-            # parity); for M shards it stays a 0–1-ish load figure
-            # instead of an M-fold inflated one.
-            ca_utilisation=(
-                merged["ca_busy_ms"] / (now * len(per_shard))
-                if now > 0
-                else 0.0
-            ),
-            ca_batches=merged["ca_batches"],
-            ca_max_batch=merged["ca_max_batch"],
-            enrollment_latency=self._enrollment_latencies.summary(),
-            establishment_latency=self._establishment_latencies.summary(),
-            vehicle_energy_mj=self._vehicle_energy.value,
-            ca_energy_mj=merged["ca_energy_mj"],
-            per_shard=per_shard,
-            ca_queue_latency=self._queue_latencies.summary(),
-            v2v_sessions=self._v2v_sessions,
-            v2v_rekeys=self._v2v_rekeys,
-            v2v_cross_shard=self._v2v_cross_shard,
-            v2v_records_sent=self._v2v_records_sent,
-            v2v_latency=self._v2v_latencies.summary(),
-            handovers=self._handovers,
-            migrations=self._migrations,
-            rejoins=self._rejoins,
-            re_enrollments=self._re_enrollments,
-            migration_latency=self._migration_latencies.summary(),
-            scenario=(
-                self.scenario.name if self.scenario is not None else ""
-            ),
-            policy=self.config.policy or "",
-            profile_counts=(
-                self.schedule.profile_counts
-                if self.schedule is not None
-                else ()
-            ),
-            injection_stats=tuple(
-                InjectionStats(
-                    kind=log["kind"],
-                    at_ms=log["at_ms"],
-                    attempts=log["attempts"],
-                    rejected=log["rejected"],
-                    succeeded=log["succeeded"],
+        return WorkerSnapshot(
+            owned=tuple(sorted(owned)),
+            now=self.sim.now,
+            events_processed=self.sim.events_processed,
+            shard_rows=tuple(
+                ShardStats(
+                    index=shard.index,
+                    name=shard.ca_name,
+                    vehicles_assigned=shard.vehicles_assigned,
+                    enrollments=shard.enrollments,
+                    sessions_established=shard.sessions_established,
+                    rekeys=shard.rekeys,
+                    handovers_in=shard.handovers_in,
+                    failed=shard.failed,
+                    ca_busy_ms=shard.resource.busy_ms,
+                    # Needs the merged clock: the merge fills it in.
+                    ca_utilisation=0.0,
+                    ca_batches=shard.batches,
+                    ca_max_batch=shard.max_batch,
+                    queue_latency=shard.queue_latency.summary(),
+                    ca_energy_mj=shard.energy_mj,
+                    epoch=shard.epoch,
+                    migrations_in=shard.migrations_in,
+                    migrations_out=shard.migrations_out,
                 )
+                for shard in self.shards
+                if shard.index in owned
+            ),
+            counters={
+                key: getattr(self, f"_{key}") for key in _COUNTER_FIELDS
+            },
+            latencies={
+                "enrollment_latency": self._enrollment_latencies,
+                "establishment_latency": self._establishment_latencies,
+                "ca_queue_latency": self._queue_latencies,
+                "v2v_latency": self._v2v_latencies,
+                "migration_latency": self._migration_latencies,
+            },
+            vehicle_energy=self._vehicle_energy,
+            injection_rows=tuple(
+                (log["attempts"], log["rejected"], log["succeeded"])
                 for log in self._injection_log
             ),
         )
-        if self._hooks is not None:
-            self._hooks.run_finished(self, stats)
-        return FleetResult(stats=stats, vehicles=self.vehicles, obs=self.obs)
 
 
 def run_fleet(

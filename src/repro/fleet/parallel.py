@@ -37,12 +37,19 @@ re-balancing and no roaming profiles (load-driven migrations), and no
 stale-cert floods (they require a failover).  Everything else — replay
 storms, CA-queue floods, burst/diurnal/Poisson arrivals, convoy pins,
 behavior profiles — stays per-shard and parallelises.  Configurations
-that fail the check fall back to the serial loop, where digest parity is
-trivial.
+that fail the check run in-process as one partition owning every shard;
+its snapshot folds through the same :func:`_merge`, so every run — with
+or without workers — exercises the merge laws.
 
-Transport integrity
--------------------
+Supervision and transport integrity
+-----------------------------------
 
+Each worker is its own process and answers once, on its own pipe, with
+its snapshot or the exception it raised (re-raised in the parent with
+its own type).  The parent waits on the pipes and the process sentinels
+together, so a worker that dies without answering (OOM kill,
+``os._exit``) fails the run with a :class:`~repro.errors.SimulationError`
+naming the worker, its shards and its exit code instead of hanging it.
 Every :class:`WorkerSnapshot` travels with a ``checksum`` — the SHA-256
 of its canonical rendering, computed in the worker and re-verified by
 the parent before merging.  A snapshot corrupted in transit (or a
@@ -83,8 +90,9 @@ __all__ = [
     "run_parallel",
 ]
 
-#: Fleet-level counters shipped verbatim from each worker; every one
-#: merges by addition.
+#: Fleet-level counters, each the orchestrator's ``_<name>`` attribute
+#: and the :class:`~repro.fleet.stats.FleetStats` field of that name;
+#: every one merges by addition.
 _COUNTER_FIELDS = (
     "enrollments",
     "sessions_established",
@@ -98,27 +106,6 @@ _COUNTER_FIELDS = (
     "v2v_rekeys",
     "v2v_cross_shard",
     "v2v_records_sent",
-)
-
-#: Raw per-shard accounting shipped from workers; the parent rebuilds
-#: :class:`~repro.fleet.stats.ShardStats` from these at the *global*
-#: end time (utilisation must be computed against the merged clock).
-_SHARD_FIELDS = (
-    "index",
-    "name",
-    "vehicles_assigned",
-    "enrollments",
-    "sessions_established",
-    "rekeys",
-    "handovers_in",
-    "failed",
-    "busy_ms",
-    "batches",
-    "max_batch",
-    "energy_mj",
-    "epoch",
-    "migrations_in",
-    "migrations_out",
 )
 
 
@@ -138,31 +125,30 @@ class PartitionPlan:
 
 @dataclass
 class WorkerSnapshot:
-    """Everything one worker's partition run produced, merge-ready.
+    """Everything one partition run produced, merge-ready.
 
-    The latency fields are :class:`~repro.fleet.stats.StreamingLatency`
-    tables and ``vehicle_energy`` an :class:`~repro.fleet.stats.ExactSum`
-    — the *mergeable* forms, not rendered summaries, so the parent can
+    ``shard_rows`` are the owned shards' :class:`~repro.fleet.stats.ShardStats`
+    with ``ca_utilisation`` left for the merge (it needs the merged
+    clock).  ``latencies`` maps each :class:`~repro.fleet.stats.FleetStats`
+    latency field to its :class:`~repro.fleet.stats.StreamingLatency`
+    table and ``vehicle_energy`` is an :class:`~repro.fleet.stats.ExactSum`
+    — the *mergeable* forms, not rendered summaries, so the merge can
     fold any number of snapshots and only then freeze the result.
-    ``checksum`` is the SHA-256 of :func:`_canonical_snapshot`, verified
-    on receipt.
+    Worker processes fill in the host-side fields and the ``checksum``
+    (the SHA-256 of :func:`_canonical_snapshot`, verified on receipt).
     """
 
-    worker: int
     owned: tuple[int, ...]
     now: float
     events_processed: int
-    shard_rows: tuple[dict, ...]
+    shard_rows: tuple[ShardStats, ...]
     counters: dict
-    enrollment_latency: StreamingLatency
-    establishment_latency: StreamingLatency
-    queue_latency: StreamingLatency
-    v2v_latency: StreamingLatency
-    migration_latency: StreamingLatency
+    latencies: dict
     vehicle_energy: ExactSum
     injection_rows: tuple[tuple[int, int, int], ...]
-    metrics: object | None
-    peak_rss_kb: int | None
+    worker: int = 0
+    metrics: object | None = None
+    peak_rss_kb: int | None = None
     tree_root: str | None = None
     checksum: str = ""
 
@@ -176,30 +162,24 @@ def _canonical_snapshot(snap: WorkerSnapshot) -> str:
     deliberately outside the checksum, exactly as ``wall`` annotations
     are outside the run digest; the telemetry plane has its own
     integrity check (the subtree merge proof in ``_finalize_obs``).
+    The ``repr`` of a shard row is exact: its floats render round-trip.
     """
-    parts = [
-        f"worker={snap.worker}",
-        "owned=" + ",".join(str(i) for i in snap.owned),
-        f"now={snap.now!r}",
-        f"events={snap.events_processed}",
-        "counters="
-        + ";".join(f"{key}:{snap.counters[key]}" for key in _COUNTER_FIELDS),
-        "energy=" + snap.vehicle_energy.canonical(),
-        "enroll=" + snap.enrollment_latency.canonical(),
-        "establish=" + snap.establishment_latency.canonical(),
-        "queue=" + snap.queue_latency.canonical(),
-        "v2v=" + snap.v2v_latency.canonical(),
-        "migrate=" + snap.migration_latency.canonical(),
-        "injections="
-        + ";".join(f"{a}:{r}:{s}" for a, r, s in snap.injection_rows),
-    ]
-    for row in snap.shard_rows:
-        fields = ";".join(f"{key}:{row[key]!r}" for key in _SHARD_FIELDS)
-        parts.append(
-            f"shard[{row['index']}]={fields};"
-            f"queue:{row['queue_latency'].canonical()}"
-        )
-    return "|".join(parts)
+    counters = (f"{key}:{snap.counters[key]}" for key in _COUNTER_FIELDS)
+    latencies = (f"{k}={t.canonical()}" for k, t in snap.latencies.items())
+    return "|".join(
+        [
+            f"worker={snap.worker}",
+            "owned=" + ",".join(str(i) for i in snap.owned),
+            f"now={snap.now!r}",
+            f"events={snap.events_processed}",
+            "counters=" + ";".join(counters),
+            "energy=" + snap.vehicle_energy.canonical(),
+            *latencies,
+            "injections="
+            + ";".join(f"{a}:{r}:{s}" for a, r, s in snap.injection_rows),
+            *(repr(row) for row in snap.shard_rows),
+        ]
+    )
 
 
 def _checksum(snap: WorkerSnapshot) -> str:
@@ -212,7 +192,7 @@ def partition_plan(config, schedule) -> PartitionPlan | None:
     Returns a :class:`PartitionPlan` only when every shard's event
     stream is provably independent of every other's (see the module
     docstring for the full argument); the orchestrator treats ``None``
-    as "run the serial loop".
+    as "run every shard in-process, as one partition".
     """
     if config.workers <= 1:
         return None
@@ -259,102 +239,101 @@ def partition_plan(config, schedule) -> PartitionPlan | None:
 
 
 def _worker_run(payload) -> WorkerSnapshot:
-    """Worker-process entry: build the fleet, drive one partition.
+    """Build the fleet in a worker process and drive one partition.
 
     Builds the *full* deterministic topology (cheap relative to the
     storm: O(shards) provisioning) with ``workers=1`` so the worker's
-    orchestrator is exactly the serial one, then schedules only the
+    orchestrator is exactly the in-process one, then runs only the
     owned shards' events.  Returns a checksummed snapshot of everything
     the barrier merge needs.
     """
     worker_index, owned, config, scenario, want_obs, max_events = payload
+    from ..obs import Observer, _peak_rss_kb
     from .orchestrator import FleetOrchestrator
 
-    obs = None
-    if want_obs:
-        from ..obs import Observer
-
-        obs = Observer()
+    obs = Observer() if want_obs else None
     orch = FleetOrchestrator(config, scenario=scenario, obs=obs)
-    owned_set = frozenset(owned)
     with use_backend(config.backend):
-        orch._run_partition(owned_set, max_events)
-    if orch._hooks is not None:
-        orch._hooks.partition_finished(orch)
-    counters = {
-        "enrollments": sum(1 for v in orch.vehicles if v.enrolled),
-        "sessions_established": orch._sessions_established,
-        "rekeys": orch._rekeys,
-        "records_sent": orch._records_sent,
-        "handovers": orch._handovers,
-        "migrations": orch._migrations,
-        "rejoins": orch._rejoins,
-        "re_enrollments": orch._re_enrollments,
-        "v2v_sessions": orch._v2v_sessions,
-        "v2v_rekeys": orch._v2v_rekeys,
-        "v2v_cross_shard": orch._v2v_cross_shard,
-        "v2v_records_sent": orch._v2v_records_sent,
-    }
-    shard_rows = []
-    for index in sorted(owned_set):
-        shard = orch.shards[index]
-        shard_rows.append(
-            {
-                "index": shard.index,
-                "name": shard.ca_name,
-                "vehicles_assigned": shard.vehicles_assigned,
-                "enrollments": shard.enrollments,
-                "sessions_established": shard.sessions_established,
-                "rekeys": shard.rekeys,
-                "handovers_in": shard.handovers_in,
-                "failed": shard.failed,
-                "busy_ms": shard.resource.busy_ms,
-                "batches": shard.batches,
-                "max_batch": shard.max_batch,
-                "queue_latency": shard.queue_latency,
-                "energy_mj": shard.energy_mj,
-                "epoch": shard.epoch,
-                "migrations_in": shard.migrations_in,
-                "migrations_out": shard.migrations_out,
-            }
-        )
-    from ..obs import _peak_rss_kb
-
-    snap = WorkerSnapshot(
-        worker=worker_index,
-        owned=tuple(sorted(owned_set)),
-        now=orch.sim.now,
-        events_processed=orch.sim.events_processed,
-        shard_rows=tuple(shard_rows),
-        counters=counters,
-        enrollment_latency=orch._enrollment_latencies,
-        establishment_latency=orch._establishment_latencies,
-        queue_latency=orch._queue_latencies,
-        v2v_latency=orch._v2v_latencies,
-        migration_latency=orch._migration_latencies,
-        vehicle_energy=orch._vehicle_energy,
-        injection_rows=tuple(
-            (log["attempts"], log["rejected"], log["succeeded"])
-            for log in orch._injection_log
-        ),
-        metrics=obs.metrics.snapshot() if obs is not None else None,
-        peak_rss_kb=_peak_rss_kb(),
-    )
-    if snap.metrics is not None:
+        snap = orch._run_partition(frozenset(owned), max_events)
+    snap.worker = worker_index
+    if obs is not None:
         from ..obs.tree import DigestTree
 
+        orch._hooks.partition_finished(orch)
+        snap.metrics = obs.metrics.snapshot()
         # The worker's metric-plane subtree root: the parent rebuilds
         # the subtree from the shipped snapshot and verifies it hashes
         # to this root before folding (see _finalize_obs).
         snap.tree_root = DigestTree.from_metrics(snap.metrics).root_digest
+    snap.peak_rss_kb = _peak_rss_kb()
     snap.checksum = _checksum(snap)
     return snap
+
+
+def _worker_main(conn, payload) -> None:
+    """Worker process body: answer ``(ok, snapshot or exception)`` once."""
+    try:
+        answer = (True, _worker_run(payload))
+    except Exception as exc:
+        import traceback
+
+        # Re-raised by the parent with its own type; the note keeps the
+        # worker-side traceback, which the parent cannot see.
+        exc.add_note(traceback.format_exc())
+        answer = (False, exc)
+    conn.send(answer)
 
 
 def _start_method() -> str:
     """Prefer ``fork`` (cheap, inherits the warm process) when available."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
+
+
+def _run_workers(plan: PartitionPlan, payloads) -> list[WorkerSnapshot]:
+    """Run one process per partition; their snapshots in worker order."""
+    # Imported here: at module level it grows every run's RSS.
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context(_start_method())
+    workers = []
+    for payload in payloads:
+        reader, writer = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=_worker_main, args=(writer, payload), daemon=True
+        )
+        process.start()
+        writer.close()
+        workers.append((reader, process))
+    snapshots = [None] * len(workers)
+    waiting = dict(enumerate(workers))
+    try:
+        while waiting:
+            ready = wait(
+                [h for r, p in waiting.values() for h in (r, p.sentinel)]
+            )
+            for index, (reader, process) in list(waiting.items()):
+                if reader not in ready and process.sentinel not in ready:
+                    continue
+                del waiting[index]
+                try:
+                    ok, value = reader.recv()
+                except (EOFError, OSError):
+                    process.join()
+                    raise SimulationError(
+                        f"worker {index} (shards {list(plan.owned[index])})"
+                        f" exited with code {process.exitcode} before"
+                        " answering; its partition is lost"
+                    ) from None
+                if not ok:
+                    raise value
+                snapshots[index] = value
+    finally:
+        for reader, process in workers:
+            process.terminate()
+            process.join()
+            reader.close()
+    return snapshots
 
 
 def run_parallel(
@@ -368,8 +347,8 @@ def run_parallel(
     """Execute ``plan`` across worker processes and merge at the barrier.
 
     The returned :class:`~repro.fleet.orchestrator.FleetResult` carries
-    a stats object bit-identical to the serial run's.  ``vehicles`` is
-    empty — per-vehicle timelines live and die inside the workers
+    a stats object bit-identical to the in-process run's.  ``vehicles``
+    is empty — per-vehicle timelines live and die inside the workers
     (that is the point: the parent never materialises per-vehicle
     state) — so callers needing timelines should run ``workers=1``.
     """
@@ -382,14 +361,14 @@ def run_parallel(
         workers=1,
         backend=config.backend or get_backend().name,
     )
-    payloads = [
-        (w, plan.owned[w], worker_config, scenario, obs is not None,
-         max_events)
-        for w in range(plan.workers)
-    ]
-    ctx = multiprocessing.get_context(_start_method())
-    with ctx.Pool(processes=plan.workers) as pool:
-        snapshots = pool.map(_worker_run, payloads)
+    snapshots = _run_workers(
+        plan,
+        [
+            (w, plan.owned[w], worker_config, scenario, obs is not None,
+             max_events)
+            for w in range(plan.workers)
+        ],
+    )
     for snap in snapshots:
         expected = _checksum(snap)
         if snap.checksum != expected:
@@ -405,85 +384,52 @@ def run_parallel(
 
 
 def _merge(config, scenario, schedule, snapshots) -> FleetStats:
-    """Fold worker snapshots into the serial run's exact FleetStats."""
-    # The merged clock: the serial run ends at the last event overall,
-    # each worker at the last event among its shards.
+    """Fold partition snapshots into the run's exact FleetStats.
+
+    A run without worker processes is the one-snapshot case.
+    """
+    # The merged clock: the whole run ends at the last event overall,
+    # each partition at the last event among its shards.
     now = max(snap.now for snap in snapshots)
-    rows: dict[int, dict] = {}
-    for snap in snapshots:
-        for row in snap.shard_rows:
-            if row["index"] in rows:
-                raise SimulationError(
-                    f"shard {row['index']} reported by two workers —"
-                    " partition plan is not a partition"
-                )
-            rows[row["index"]] = row
-    if sorted(rows) != list(range(config.shards)):
+    rows = sorted(
+        (row for snap in snapshots for row in snap.shard_rows),
+        key=lambda row: row.index,
+    )
+    if [row.index for row in rows] != list(range(config.shards)):
         raise SimulationError(
-            f"parallel run covered shards {sorted(rows)} of"
-            f" {config.shards} — a worker went missing"
+            f"partitions reported shards {[row.index for row in rows]}"
+            f" of {config.shards}; the plan is not a partition"
         )
+    # Busy time over the merged clock; above 1.0 when reservations run
+    # past the last event (an over-committed shard is not clamped).
     per_shard = tuple(
-        ShardStats(
-            index=row["index"],
-            name=row["name"],
-            vehicles_assigned=row["vehicles_assigned"],
-            enrollments=row["enrollments"],
-            sessions_established=row["sessions_established"],
-            rekeys=row["rekeys"],
-            handovers_in=row["handovers_in"],
-            failed=row["failed"],
-            ca_busy_ms=row["busy_ms"],
-            # Recomputed against the *global* clock, matching
-            # Resource.utilisation(now) in the serial assembly.
-            ca_utilisation=(row["busy_ms"] / now) if now > 0 else 0.0,
-            ca_batches=row["batches"],
-            ca_max_batch=row["max_batch"],
-            queue_latency=row["queue_latency"].summary(),
-            ca_energy_mj=row["energy_mj"],
-            epoch=row["epoch"],
-            migrations_in=row["migrations_in"],
-            migrations_out=row["migrations_out"],
+        dataclasses.replace(
+            row, ca_utilisation=row.ca_busy_ms / now if now > 0 else 0.0
         )
-        for row in (rows[index] for index in sorted(rows))
+        for row in rows
     )
     merged = merge_shard_stats(per_shard)
-    totals = {
-        key: sum(snap.counters[key] for snap in snapshots)
-        for key in _COUNTER_FIELDS
-    }
-    enrollment = StreamingLatency()
-    establishment = StreamingLatency()
-    queue = StreamingLatency()
-    v2v = StreamingLatency()
-    migration = StreamingLatency()
+    latencies = {key: StreamingLatency() for key in snapshots[0].latencies}
     energy = ExactSum()
     for snap in snapshots:
-        enrollment.merge(snap.enrollment_latency)
-        establishment.merge(snap.establishment_latency)
-        queue.merge(snap.queue_latency)
-        v2v.merge(snap.v2v_latency)
-        migration.merge(snap.migration_latency)
+        for key, table in snap.latencies.items():
+            latencies[key].merge(table)
         energy.merge(snap.vehicle_energy)
     injections = schedule.injections if schedule is not None else ()
-    injection_stats = tuple(
-        InjectionStats(
-            kind=spec.kind,
-            at_ms=spec.at_ms,
-            attempts=sum(s.injection_rows[i][0] for s in snapshots),
-            rejected=sum(s.injection_rows[i][1] for s in snapshots),
-            succeeded=sum(s.injection_rows[i][2] for s in snapshots),
-        )
-        for i, spec in enumerate(injections)
-    )
     return FleetStats(
         vehicles=config.n_vehicles,
-        enrollments=totals["enrollments"],
-        sessions_established=totals["sessions_established"],
-        rekeys=totals["rekeys"],
-        records_sent=totals["records_sent"],
         duration_ms=now,
+        **{
+            key: sum(snap.counters[key] for snap in snapshots)
+            for key in _COUNTER_FIELDS
+        },
+        **{key: table.summary() for key, table in latencies.items()},
         ca_busy_ms=merged["ca_busy_ms"],
+        # Mean per-shard utilisation: summed busy time over the
+        # wall-clock available across all shard resources.  For one
+        # shard this is exactly the resource's own utilisation (PR 1
+        # parity); for M shards it stays a 0–1-ish load figure instead
+        # of an M-fold inflated one.
         ca_utilisation=(
             merged["ca_busy_ms"] / (now * len(per_shard))
             if now > 0
@@ -491,28 +437,24 @@ def _merge(config, scenario, schedule, snapshots) -> FleetStats:
         ),
         ca_batches=merged["ca_batches"],
         ca_max_batch=merged["ca_max_batch"],
-        enrollment_latency=enrollment.summary(),
-        establishment_latency=establishment.summary(),
         vehicle_energy_mj=energy.value,
         ca_energy_mj=merged["ca_energy_mj"],
         per_shard=per_shard,
-        ca_queue_latency=queue.summary(),
-        v2v_sessions=totals["v2v_sessions"],
-        v2v_rekeys=totals["v2v_rekeys"],
-        v2v_cross_shard=totals["v2v_cross_shard"],
-        v2v_records_sent=totals["v2v_records_sent"],
-        v2v_latency=v2v.summary(),
-        handovers=totals["handovers"],
-        migrations=totals["migrations"],
-        rejoins=totals["rejoins"],
-        re_enrollments=totals["re_enrollments"],
-        migration_latency=migration.summary(),
         scenario=scenario.name if scenario is not None else "",
         policy=config.policy or "",
         profile_counts=(
             schedule.profile_counts if schedule is not None else ()
         ),
-        injection_stats=injection_stats,
+        injection_stats=tuple(
+            InjectionStats(
+                kind=spec.kind,
+                at_ms=spec.at_ms,
+                attempts=sum(s.injection_rows[i][0] for s in snapshots),
+                rejected=sum(s.injection_rows[i][1] for s in snapshots),
+                succeeded=sum(s.injection_rows[i][2] for s in snapshots),
+            )
+            for i, spec in enumerate(injections)
+        ),
     )
 
 
@@ -534,6 +476,7 @@ def _finalize_obs(obs, config, scenario, stats, snapshots) -> None:
     workers ∈ {1, 2, 4}.  A mismatch is a merge-law violation, not a
     transport error, and fails the run loudly.
     """
+    from ..obs.fleet import count_injections
     from ..obs.tree import DigestTree
 
     proof_eligible = not obs.metrics.snapshot().events()
@@ -564,16 +507,7 @@ def _finalize_obs(obs, config, scenario, stats, snapshots) -> None:
                 " merge law failed"
             )
         obs.meta["tree_root"] = recomputed.root_digest
-    for inj in stats.injection_stats:
-        obs.metrics.counter(
-            "fleet.injection_attempts", kind=inj.kind
-        ).inc(inj.attempts)
-        obs.metrics.counter(
-            "fleet.injection_rejected", kind=inj.kind
-        ).inc(inj.rejected)
-        obs.metrics.counter(
-            "fleet.injection_succeeded", kind=inj.kind
-        ).inc(inj.succeeded)
+    count_injections(obs.metrics, stats.injection_stats)
     beat = obs.heartbeat(
         sim_ms=stats.duration_ms,
         vehicles_done=config.n_vehicles,

@@ -54,15 +54,12 @@ from dataclasses import dataclass, fields, replace
 
 from ..errors import PolicyError
 from ..primitives import sha256
-from .topology import (
-    POLICY_LEAST_LOADED,
-    POLICY_ROUND_ROBIN,
-    POLICY_STATIC_HASH,
-    SHARD_POLICIES,
-)
 
 __all__ = [
     "DECISION_POINTS",
+    "POLICY_LEAST_LOADED",
+    "POLICY_ROUND_ROBIN",
+    "POLICY_STATIC_HASH",
     "POLICY_BUNDLES",
     "POLICY_RULES",
     "BUNDLE_OVERRIDES",
@@ -71,6 +68,7 @@ __all__ = [
     "FleetState",
     "PolicyEngine",
     "RoamCadence",
+    "SHARD_POLICIES",
     "SessionExpiryRekey",
     "ShardPolicyAssign",
     "ShardView",
@@ -84,10 +82,27 @@ __all__ = [
     "policy_json",
     "register_policy",
     "resolve_policies",
+    "static_hash_index",
 ]
 
 #: The orchestrator consults the engine at exactly these points.
 DECISION_POINTS = ("assign", "migrate", "rekey", "failover")
+
+#: Registered shard-assignment policies (``FleetConfig.shard_policy``).
+POLICY_STATIC_HASH = "static-hash"
+POLICY_LEAST_LOADED = "least-loaded"
+POLICY_ROUND_ROBIN = "round-robin"
+SHARD_POLICIES = (POLICY_STATIC_HASH, POLICY_LEAST_LOADED, POLICY_ROUND_ROBIN)
+
+
+def static_hash_index(device_id: bytes, count: int) -> int:
+    """The ``static-hash`` placement: a stable bucket in ``range(count)``.
+
+    A pure function of the vehicle identity, so the process-parallel
+    partition filter can predict a vehicle's shard before it arrives.
+    """
+    digest = sha256(b"fleet|shard-assign|" + device_id)
+    return int.from_bytes(digest[:8], "big") % count
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +283,10 @@ def load_policy(data):
 @register_policy("shard-assign")
 @dataclass(frozen=True)
 class ShardPolicyAssign:
-    """Shard assignment — the three legacy ``shard_policy`` arithmetics.
+    """Shard assignment — the three ``shard_policy`` arithmetics.
 
-    Bit-identical extraction of :meth:`FleetTopology.assign`:
-    ``static-hash`` places by identity digest over the *alive* list,
-    ``least-loaded`` picks the fewest active vehicles (index
+    ``static-hash`` places by :func:`static_hash_index` over the *alive*
+    list, ``least-loaded`` picks the fewest active vehicles (index
     tie-break), ``round-robin`` cycles a counter held in the engine's
     per-rule memory.
     """
@@ -294,9 +308,8 @@ class ShardPolicyAssign:
         if not alive:
             return None
         if self.policy == POLICY_STATIC_HASH:
-            digest = sha256(b"fleet|shard-assign|" + state.vehicle.device_id)
-            choice = alive[int.from_bytes(digest[:8], "big") % len(alive)]
-            return Decision(target_shard=choice.index)
+            bucket = static_hash_index(state.vehicle.device_id, len(alive))
+            return Decision(target_shard=alive[bucket].index)
         if self.policy == POLICY_LEAST_LOADED:
             choice = min(alive, key=lambda s: (s.active_vehicles, s.index))
             return Decision(target_shard=choice.index)
@@ -513,7 +526,7 @@ class FailoverSpread:
     ``shard_policy`` (static-hash keeps a vehicle's identity placement,
     which can dog-pile one survivor).  This rule adopts onto the
     least-loaded alive shard instead, defer-ing (``None``) for vehicles
-    whose alive pin the topology must honor.
+    whose alive pin the orchestrator must honor.
     """
 
     point = "failover"

@@ -10,9 +10,6 @@ run.  This module generalizes the deployment to an explicit topology:
   chained to one fleet root (:func:`~repro.ecqv.chain.make_sub_ca`), and a
   shared :class:`~repro.ecqv.TrustStore` lets any fleet member validate
   any other member's certificate up to the root.
-* **Shard assignment policies** — ``static-hash`` (stable identity-based
-  placement), ``least-loaded`` (pick the shard with the fewest active
-  vehicles) and ``round-robin``.
 * **V2V pairing** — a deterministic plan of vehicle↔vehicle sessions
   established directly between two enrolled vehicles, no gateway in the
   data path; cross-shard pairs exercise the trust chain.
@@ -55,7 +52,7 @@ from ..protocols import SessionManager
 from ..protocols.pool import EphemeralPool
 from ..sim.engine import Resource
 from ..testbed import DEFAULT_NOW, device_id
-from .stats import ShardStats, StreamingLatency
+from .stats import StreamingLatency
 from .vehicle import Vehicle
 
 #: Identity of the central CA/gateway device (paper Fig. 1's RPi 4) in the
@@ -64,12 +61,6 @@ GATEWAY_NAME = "fleet-gateway"
 
 #: Identity of the fleet root CA anchoring every shard CA (sharded runs).
 ROOT_CA_NAME = "fleet-root-ca"
-
-#: Registered shard-assignment policies.
-POLICY_STATIC_HASH = "static-hash"
-POLICY_LEAST_LOADED = "least-loaded"
-POLICY_ROUND_ROBIN = "round-robin"
-SHARD_POLICIES = (POLICY_STATIC_HASH, POLICY_LEAST_LOADED, POLICY_ROUND_ROBIN)
 
 
 def shard_ca_name(index: int, total: int) -> str:
@@ -144,28 +135,6 @@ class GatewayShard:
         self.migrations_in += 1
         vehicle.shard = self.index
 
-    def stats(self, now: float) -> ShardStats:
-        """Freeze this shard's accounting into a :class:`ShardStats`."""
-        return ShardStats(
-            index=self.index,
-            name=self.ca_name,
-            vehicles_assigned=self.vehicles_assigned,
-            enrollments=self.enrollments,
-            sessions_established=self.sessions_established,
-            rekeys=self.rekeys,
-            handovers_in=self.handovers_in,
-            failed=self.failed,
-            ca_busy_ms=self.resource.busy_ms,
-            ca_utilisation=self.resource.utilisation(now),
-            ca_batches=self.batches,
-            ca_max_batch=self.max_batch,
-            queue_latency=self.queue_latency.summary(),
-            ca_energy_mj=self.energy_mj,
-            epoch=self.epoch,
-            migrations_in=self.migrations_in,
-            migrations_out=self.migrations_out,
-        )
-
 
 class FleetTopology:
     """The provisioned deployment a fleet run executes on.
@@ -220,14 +189,6 @@ class FleetTopology:
             if self.root_ca is not None
             else self.shards[0].ca.public_key
         )
-        self._round_robin = 0
-        #: Optional assignment override, set by the orchestrator: a
-        #: callable ``(vehicle) -> GatewayShard | None`` consulted by
-        #: :meth:`assign` after the pinned-shard check.  ``None`` (a
-        #: standalone topology, or every policy rule passing) keeps the
-        #: legacy arithmetic below — the ``default`` policy bundle
-        #: reproduces it bit-for-bit through this hook.
-        self.policy_hook = None
 
     # -- construction ---------------------------------------------------------
 
@@ -404,45 +365,9 @@ class FleetTopology:
         shard.epoch = epoch
         return shard
 
-    # -- shard assignment ------------------------------------------------------
-
     def alive_shards(self) -> list[GatewayShard]:
         """Shards currently accepting work, in index order."""
         return [shard for shard in self.shards if not shard.failed]
-
-    def assign(self, vehicle: Vehicle) -> GatewayShard:
-        """Pick the serving shard for a vehicle under the configured policy.
-
-        Every policy is deterministic: ``static-hash`` places by a hash
-        of the vehicle identity, ``least-loaded`` picks the fewest active
-        vehicles (ties to the lowest index), ``round-robin`` cycles a
-        counter — all over the currently *alive* shards, so the same
-        policies drive both initial placement and failover adoption.
-        """
-        alive = self.alive_shards()
-        if not alive:
-            raise SimulationError("no alive gateway shard to assign to")
-        if vehicle.pinned_shard is not None:
-            # Platoon convoys pin to one shard; the pin wins over every
-            # policy while its shard is alive and falls back to the
-            # policy (failover adoption) while it is down.
-            pinned = self.shards[vehicle.pinned_shard]
-            if not pinned.failed:
-                return pinned
-        if self.policy_hook is not None:
-            chosen = self.policy_hook(vehicle)
-            if chosen is not None:
-                return chosen
-        policy = self.config.shard_policy
-        if policy == POLICY_STATIC_HASH:
-            digest = sha256(b"fleet|shard-assign|" + vehicle.device_id)
-            return alive[int.from_bytes(digest[:8], "big") % len(alive)]
-        if policy == POLICY_LEAST_LOADED:
-            return min(alive, key=lambda s: (s.active_vehicles, s.index))
-        # round-robin
-        shard = alive[self._round_robin % len(alive)]
-        self._round_robin += 1
-        return shard
 
 
 def plan_v2v_pairs(config) -> list[tuple[int, int]]:

@@ -22,7 +22,16 @@ Digest-neutrality rules every hook obeys:
 
 from __future__ import annotations
 
-__all__ = ["FleetInstrumentation"]
+__all__ = ["FleetInstrumentation", "count_injections"]
+
+
+def count_injections(metrics, injection_stats) -> None:
+    """Per-kind injection counters from a run's final ``InjectionStats``."""
+    for inj in injection_stats:
+        for outcome in ("attempts", "rejected", "succeeded"):
+            metrics.counter(f"fleet.injection_{outcome}", kind=inj.kind).inc(
+                getattr(inj, outcome)
+            )
 
 
 class FleetInstrumentation:
@@ -73,31 +82,9 @@ class FleetInstrumentation:
             )
 
     def run_finished(self, orch, stats) -> None:
-        """Close shard + run spans, final heartbeat, injection tallies, meta."""
-        spans = self.obs.spans
-        now = orch.sim.now
-        for shard in orch.shards:
-            spans.end(
-                self._shard_spans.pop(shard.index),
-                now,
-                enrollments=shard.enrollments,
-                sessions=shard.sessions_established,
-                batches=shard.batches,
-            )
-        spans.end(self._run_span, now)
-        self._run_span = None
-        self._heartbeat(orch)  # final beat, always emitted
-        metrics = self.obs.metrics
-        for inj in stats.injection_stats:
-            metrics.counter(
-                "fleet.injection_attempts", kind=inj.kind
-            ).inc(inj.attempts)
-            metrics.counter(
-                "fleet.injection_rejected", kind=inj.kind
-            ).inc(inj.rejected)
-            metrics.counter(
-                "fleet.injection_succeeded", kind=inj.kind
-            ).inc(inj.succeeded)
+        """End a run without workers: its one partition, tallies, meta."""
+        self.partition_finished(orch)
+        count_injections(self.obs.metrics, stats.injection_stats)
         self.obs.meta.update(
             {
                 "run": (
@@ -105,7 +92,7 @@ class FleetInstrumentation:
                     if orch.scenario is not None
                     else "fleet"
                 ),
-                "sim_end_ms": now,
+                "sim_end_ms": orch.sim.now,
                 "backend": orch.config.backend,
                 "n_vehicles": orch.config.n_vehicles,
                 "shards": orch.config.shards,
@@ -114,13 +101,13 @@ class FleetInstrumentation:
         )
 
     def partition_finished(self, orch) -> None:
-        """Close shard + run spans for one worker *partition* run.
+        """Close shard + run spans and emit the final heartbeat.
 
-        The process-parallel path (:mod:`repro.fleet.parallel`) ends a
-        worker's telemetry here instead of :meth:`run_finished`: the
-        worker has no merged :class:`~repro.fleet.stats.FleetStats`, so
-        injection counters and the run meta are emitted by the *parent*
-        from the merged result.  Spans stay worker-local.
+        A worker partition (:mod:`repro.fleet.parallel`) ends its
+        telemetry here: it has no merged
+        :class:`~repro.fleet.stats.FleetStats`, so injection counters and
+        the run meta are emitted by the *parent* from the merged result.
+        Spans stay worker-local.
         """
         spans = self.obs.spans
         now = orch.sim.now
@@ -134,7 +121,7 @@ class FleetInstrumentation:
             )
         spans.end(self._run_span, now)
         self._run_span = None
-        self._heartbeat(orch)  # final worker beat, always emitted
+        self._heartbeat(orch)  # final beat, always emitted
 
     # -- enrollment ---------------------------------------------------------
 
@@ -433,7 +420,8 @@ class FleetInstrumentation:
     def injection_ran(self, orch, index, kind, log) -> None:
         # Span event only: CA-flood rejections are tallied later, when
         # the flooded queue drains through _pump_ca, so the final
-        # per-kind counters come from InjectionStats in run_finished.
+        # per-kind counters come from the final InjectionStats
+        # (count_injections).
         """Mark an adversarial injection dispatch event."""
         self.obs.spans.event(
             f"injection{index}:{kind}",

@@ -114,15 +114,3 @@ class Resource:
         if self.record_intervals:
             self.intervals.append((start, end))
         return start, end
-
-    def utilisation(self, now: float) -> float:
-        """Ratio of busy time to ``[0, now]`` for this resource.
-
-        The contention headline number for shared resources (the fleet
-        orchestrator reports it for the CA/gateway device).  Can exceed
-        1.0 when reservations extend past ``now`` — an over-committed
-        resource should be visible as such, not clamped away.
-        """
-        if now <= 0:
-            return 0.0
-        return self.busy_ms / now

@@ -12,7 +12,6 @@ progress, and both export formats round-trip their schemas.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -257,13 +256,6 @@ class TestStatsReconciliation:
 
 
 class TestWiring:
-    def test_config_observe_flag_builds_observer(self):
-        config = dataclasses.replace(_PR1_CONFIG, observe=True)
-        result = run_fleet(config)
-        assert result.obs is not None
-        assert result.stats.digest() == _PR1_DIGEST
-        result.obs.validate()
-
     def test_default_run_has_no_observer(self):
         result = run_fleet(_PR1_CONFIG)
         assert result.obs is None

@@ -3,26 +3,33 @@
 The contract under test: for every partitionable (config, scenario,
 seed), running with ``workers ∈ {2, 4}`` produces a
 :class:`~repro.fleet.FleetStats` whose digest is **bit-identical** to
-``workers=1`` — and non-partitionable configurations fall back to the
-serial loop rather than silently diverging.
+``workers=1`` — and non-partitionable configurations run as one
+in-process partition rather than silently diverging.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, ScenarioError, SimulationError
 from repro.fleet import (
     FleetConfig,
     FleetOrchestrator,
+    ReplayStorm,
+    Scenario,
     get_scenario,
     partition_plan,
     run_fleet,
 )
 from repro.fleet.parallel import _checksum
 from repro.obs import Observer
+
+_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def _base(seed: bytes, shards: int = 4, **overrides) -> FleetConfig:
@@ -74,7 +81,7 @@ class TestPartitionPlan:
         scenario = get_scenario("roaming-rebalance")
         config = _base(b"plan", workers=2, n_vehicles=24)
         orch = FleetOrchestrator(config, scenario=scenario)
-        assert orch._plan is None  # falls back to the serial loop
+        assert orch._plan is None  # runs as one in-process partition
 
     def test_workers_must_be_positive_int(self):
         with pytest.raises(ConfigError):
@@ -141,7 +148,7 @@ class TestDigestParity:
         assert streamed.digest() == serial.digest()
 
     def test_churn_config_falls_back_and_still_matches(self):
-        # Coupled config: workers>1 silently runs the serial loop.
+        # Coupled config: workers>1 silently runs one partition.
         churn = dict(
             shards=3,
             records_per_vehicle=8,
@@ -213,31 +220,83 @@ class TestParallelResultSurface:
                 snap.counters["rekeys"] += 7  # corrupt after checksum
             return snap
 
+        # Forked workers inherit the patched module function.
         monkeypatch.setattr(par, "_worker_run", corrupting_worker_run)
-
-        class _InlinePool:
-            # Runs the (monkeypatched) worker fn in-process so the
-            # corruption survives; a real pool would pickle the real
-            # module-level function.
-            def __init__(self, processes):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads):
-                return [par._worker_run(p) for p in payloads]
-
-        monkeypatch.setattr(
-            par.multiprocessing.get_context(par._start_method()).__class__,
-            "Pool",
-            lambda self, processes: _InlinePool(processes),
-        )
         with pytest.raises(SimulationError, match="checksum"):
             run_fleet(_base(b"tamper2", workers=2))
+
+
+# -- worker supervision -------------------------------------------------------
+
+_DYING_WORKER = """
+import os
+from repro.errors import SimulationError
+from repro.fleet import FleetConfig, parallel, run_fleet
+
+real_worker_run = parallel._worker_run
+
+def dying_worker_run(payload):
+    if payload[0] == 0:
+        os._exit(1)
+    return real_worker_run(payload)
+
+parallel._worker_run = dying_worker_run
+try:
+    run_fleet(FleetConfig(
+        n_vehicles=4, seed=b"dying-worker", records_per_vehicle=1,
+        shards=2, workers=2,
+    ))
+except SimulationError as exc:
+    print(exc)
+"""
+
+
+class TestWorkerSupervision:
+    def test_dead_worker_fails_the_run_instead_of_hanging(self):
+        # In a subprocess with a timeout, so a regression fails the test
+        # instead of hanging the suite.
+        proc = subprocess.run(
+            [sys.executable, "-c", _DYING_WORKER],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(_SRC)),
+            timeout=120,
+        )
+        message = proc.stdout
+        assert "worker 0" in message, proc.stdout + proc.stderr
+        assert "[0]" in message and "code 1" in message, message
+
+    def test_worker_exception_keeps_its_type(self):
+        # A storm at worker 1's shard before any traffic raises inside
+        # that worker; the caller sees the worker's own ScenarioError.
+        scenario = Scenario(
+            name="early-storm",
+            injections=(ReplayStorm(at_ms=0.0, replays=4, target_shard=1),),
+        )
+        config = _base(b"early-storm", shards=2, workers=2)
+        orch = FleetOrchestrator(config, scenario=scenario)
+        assert orch._plan is not None
+        with pytest.raises(ScenarioError, match="shard 1"):
+            orch.run()
+
+
+# -- placement prediction -----------------------------------------------------
+
+
+class TestPlacementPrediction:
+    @pytest.mark.parametrize("scenario", [None, "platoon-convoys"])
+    def test_serial_placement_matches_partition_filter(self, scenario):
+        # The partition filter (_predicted_shard) and the run's placement
+        # (_assign) must agree, pins included, for every vehicle.
+        orch = FleetOrchestrator(
+            _base(b"predict", n_vehicles=24),
+            scenario=get_scenario(scenario) if scenario else None,
+        )
+        vehicles = orch.run().vehicles
+        if scenario:
+            assert any(v.pinned_shard is not None for v in vehicles)
+        for vehicle in vehicles:
+            assert vehicle.shard == orch._predicted_shard(vehicle)
 
 
 # -- metrics absorb law -------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.fleet import (
     plan_v2v_pairs,
     run_fleet,
 )
+from repro.fleet.policy import static_hash_index
 from repro.protocols import SessionExpired
 
 #: Digest captured from the PR 1 (pre-topology) orchestrator for this
@@ -130,11 +131,9 @@ class TestShardPolicies:
 
     def test_static_hash_is_stable_per_identity(self):
         config = _topology_config(shards=4, shard_policy=POLICY_STATIC_HASH)
-        topo_a = FleetTopology(config)
-        topo_b = FleetTopology(config)
-        orchestrator = FleetOrchestrator(config)
-        for vehicle in orchestrator.vehicles:
-            assert topo_a.assign(vehicle).index == topo_b.assign(vehicle).index
+        result = run_fleet(config)
+        for vehicle in result.vehicles:
+            assert vehicle.shard == static_hash_index(vehicle.device_id, 4)
 
 
 class TestChainedTrust:
