@@ -90,13 +90,8 @@ _IV512 = (
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-
-def _rotr32(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & _MASK32
-
-
-def _rotr64(x: int, n: int) -> int:
-    return ((x >> n) | (x << (64 - n))) & _MASK64
+_BLOCK256 = struct.Struct(">16I")
+_BLOCK512 = struct.Struct(">16Q")
 
 
 class _Sha2Base:
@@ -172,56 +167,55 @@ class _Sha256Core(_Sha2Base):
     block_size = 64
 
     def _compress(self, block: bytes) -> None:
+        # Rotations are inlined and left unmasked: the bits above 31 only
+        # ever reach sums, never the low 32 bits of one, so a word is masked
+        # where it is stored (w[i], e, a, the state) — exactly the words
+        # that are later shifted right.
         trace.record("sha2.block")
-        w = list(struct.unpack(">16I", block))
+        w = list(_BLOCK256.unpack(block))
         for i in range(16, 64):
-            s0 = _rotr32(w[i - 15], 7) ^ _rotr32(w[i - 15], 18) ^ (w[i - 15] >> 3)
-            s1 = _rotr32(w[i - 2], 17) ^ _rotr32(w[i - 2], 19) ^ (w[i - 2] >> 10)
+            x = w[i - 15]
+            y = w[i - 2]
+            s0 = (x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ x >> 3
+            s1 = (y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ y >> 10
             w.append((w[i - 16] + s0 + w[i - 7] + s1) & _MASK32)
-        a, b, c, d, e, f, g, h = self._state
-        for i in range(64):
-            s1 = _rotr32(e, 6) ^ _rotr32(e, 11) ^ _rotr32(e, 25)
-            ch = (e & f) ^ (~e & g)
-            t1 = (h + s1 + ch + _K256[i] + w[i]) & _MASK32
-            s0 = _rotr32(a, 2) ^ _rotr32(a, 13) ^ _rotr32(a, 22)
-            maj = (a & b) ^ (a & c) ^ (b & c)
-            t2 = (s0 + maj) & _MASK32
+        st = self._state
+        a, b, c, d, e, f, g, h = st
+        for k, wi in zip(_K256, w):
+            s1 = (e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)
+            t1 = h + s1 + (g ^ (e & (f ^ g))) + k + wi
+            s0 = (a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)
+            t2 = s0 + ((a & b) | (c & (a | b)))
             h, g, f, e, d, c, b, a = (
                 g, f, e, (d + t1) & _MASK32, c, b, a, (t1 + t2) & _MASK32,
             )
-        st = self._state
-        st[0] = (st[0] + a) & _MASK32
-        st[1] = (st[1] + b) & _MASK32
-        st[2] = (st[2] + c) & _MASK32
-        st[3] = (st[3] + d) & _MASK32
-        st[4] = (st[4] + e) & _MASK32
-        st[5] = (st[5] + f) & _MASK32
-        st[6] = (st[6] + g) & _MASK32
-        st[7] = (st[7] + h) & _MASK32
+        for idx, val in enumerate((a, b, c, d, e, f, g, h)):
+            st[idx] = (st[idx] + val) & _MASK32
 
 
 class _Sha512Core(_Sha2Base):
     block_size = 128
 
     def _compress(self, block: bytes) -> None:
+        # The same round loop on 64-bit words (see _Sha256Core._compress).
         trace.record("sha2.block")
-        w = list(struct.unpack(">16Q", block))
+        w = list(_BLOCK512.unpack(block))
         for i in range(16, 80):
-            s0 = _rotr64(w[i - 15], 1) ^ _rotr64(w[i - 15], 8) ^ (w[i - 15] >> 7)
-            s1 = _rotr64(w[i - 2], 19) ^ _rotr64(w[i - 2], 61) ^ (w[i - 2] >> 6)
+            x = w[i - 15]
+            y = w[i - 2]
+            s0 = (x >> 1 | x << 63) ^ (x >> 8 | x << 56) ^ x >> 7
+            s1 = (y >> 19 | y << 45) ^ (y >> 61 | y << 3) ^ y >> 6
             w.append((w[i - 16] + s0 + w[i - 7] + s1) & _MASK64)
-        a, b, c, d, e, f, g, h = self._state
-        for i in range(80):
-            s1 = _rotr64(e, 14) ^ _rotr64(e, 18) ^ _rotr64(e, 41)
-            ch = (e & f) ^ (~e & g)
-            t1 = (h + s1 + ch + _K512[i] + w[i]) & _MASK64
-            s0 = _rotr64(a, 28) ^ _rotr64(a, 34) ^ _rotr64(a, 39)
-            maj = (a & b) ^ (a & c) ^ (b & c)
-            t2 = (s0 + maj) & _MASK64
+        st = self._state
+        a, b, c, d, e, f, g, h = st
+        for k, wi in zip(_K512, w):
+            s1 = (e >> 14 | e << 50) ^ (e >> 18 | e << 46) ^ (e >> 41 | e << 23)
+            t1 = h + s1 + (g ^ (e & (f ^ g))) + k + wi
+            s0 = (a >> 28 | a << 36) ^ (a >> 34 | a << 30) ^ (a >> 39 | a << 25)
+            t2 = s0 + ((a & b) | (c & (a | b)))
             h, g, f, e, d, c, b, a = (
                 g, f, e, (d + t1) & _MASK64, c, b, a, (t1 + t2) & _MASK64,
             )
-        st = self._state
         for idx, val in enumerate((a, b, c, d, e, f, g, h)):
             st[idx] = (st[idx] + val) & _MASK64
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import trace
+from repro.backend import HASH_INFO, compression_blocks
 from repro.errors import CryptoError
 from repro.primitives import (
+    HASHES,
     Sha224,
     Sha256,
     Sha384,
@@ -77,6 +79,21 @@ class TestAgainstHashlib:
     @settings(max_examples=40)
     def test_sha512_matches(self, data):
         assert sha512(data) == hashlib.sha512(data).digest()
+
+    @pytest.mark.parametrize("name", sorted(HASHES))
+    @given(st.binary(max_size=300), st.integers(0, 300))
+    @settings(max_examples=40)
+    def test_reference_kernel_bytes_and_block_count(self, name, data, split):
+        # The from-scratch classes directly, whatever backend is active:
+        # digest equal to hashlib's and one sha2.block per compression.
+        split = min(split, len(data))
+        hasher = HASHES[name]()
+        with trace.trace() as t:
+            hasher.update(data[:split])
+            hasher.update(data[split:])
+            digest = hasher.digest()
+        assert digest == hashlib.new(name, data).digest()
+        assert t["sha2.block"] == compression_blocks(len(data), HASH_INFO[name])
 
     @pytest.mark.parametrize(
         "n", [0, 1, 55, 56, 57, 63, 64, 65, 111, 112, 119, 127, 128, 129, 257]
