@@ -93,7 +93,9 @@ class StatsError(SimulationError):
     Raised when non-finite samples (NaN/inf) reach a latency summary or
     a streaming accumulator: rendered into digest material they would
     poison the reproducibility contract as ``nan``/``inf`` strings, so
-    they are rejected eagerly with the offending value named.
+    they are rejected eagerly with the offending value named.  Also
+    raised by ``from_dict`` on a malformed stats payload (a missing
+    required key or a non-finite float), naming the dotted path.
     """
 
 

@@ -91,6 +91,7 @@ from ..testbed import DEFAULT_NOW, device_id
 from .parallel import (
     WorkerSnapshot,
     _COUNTER_FIELDS,
+    _LATENCY_FIELDS,
     _merge,
     partition_plan,
 )
@@ -155,15 +156,6 @@ class FleetConfig:
         record_bytes: application payload size per record.
         pool_size: ephemeral pool entries per vehicle (0 disables).
         ca_batch_limit: max requests a CA folds into one issuance batch.
-        use_batch_ec: route CA issuance and Op1 through the batched EC
-            APIs.  ``False`` disables ephemeral pools (so every Op1
-            pays its ``ec.mul_base`` on the timeline) and issues
-            certificates scalar-at-a-time.  Note the *priced* cost of
-            issuance itself is identical either way — the cost model
-            folds normalization into the ``ec.mul_base`` event — so
-            this flag changes simulated time only through pooling;
-            the batched-normalization win is a host wall-clock effect
-            measured by ``bench_fleet_scale.py``.
         cert_validity_seconds: certificate-session length for issued
             credentials.
         shards: number of gateway shards.  ``1`` reproduces the
@@ -275,7 +267,6 @@ class FleetConfig:
     record_bytes: int = 32
     pool_size: int = 4
     ca_batch_limit: int = 64
-    use_batch_ec: bool = True
     cert_validity_seconds: int = 24 * 3600
     shards: int = 1
     shard_policy: str = "static-hash"
@@ -563,31 +554,19 @@ class FleetOrchestrator:
             self.vehicles[b].v2v_peer_index = a
         self._v2v_ready: set[int] = set()
         self._v2v_started: set[tuple[int, int]] = set()
-        # Streaming accumulators: constant state per distinct sample
-        # value instead of one Python float object per sample, and
-        # .summary() reproduces LatencySummary.from_samples bit-for-bit
-        # (the digest contract), so these are always-on.
-        self._enrollment_latencies = StreamingLatency()
-        self._establishment_latencies = StreamingLatency()
-        self._queue_latencies = StreamingLatency()
-        self._v2v_latencies = StreamingLatency()
-        self._enrollments = 0
-        self._sessions_established = 0
-        self._rekeys = 0
-        self._records_sent = 0
+        # Run counters and latency tables, keyed by FleetStats field name.
+        # A table holds constant state per distinct sample value instead
+        # of one Python float object per sample, and .summary()
+        # reproduces LatencySummary.from_samples bit-for-bit (the digest
+        # contract), so these are always-on.
+        self._counters = dict.fromkeys(_COUNTER_FIELDS, 0)
+        self._latencies = {
+            name: StreamingLatency() for name in _LATENCY_FIELDS
+        }
         # Exact (order-independent) streaming sum: the one digest float
         # accumulated across shard boundaries in interleaved event
         # order, so per-worker partials must fold into the same bits.
         self._vehicle_energy = ExactSum()
-        self._handovers = 0
-        self._v2v_sessions = 0
-        self._v2v_rekeys = 0
-        self._v2v_cross_shard = 0
-        self._v2v_records_sent = 0
-        self._migrations = 0
-        self._rejoins = 0
-        self._re_enrollments = 0
-        self._migration_latencies = StreamingLatency()
         #: Continuations coalesced onto a vehicle's in-flight
         #: re-enrollment (keyed by vehicle index).
         self._re_enroll_followups: dict[int, list] = {}
@@ -746,21 +725,14 @@ class FleetOrchestrator:
                     else:
                         log["rejected"] += 1
             requests = [entry.request for entry in legit]
-            if not requests:
-                issued = []
-            elif self.config.use_batch_ec:
-                issued = shard.ca.issue_batch(
+            issued = (
+                shard.ca.issue_batch(
                     requests,
                     validity_seconds=self.config.cert_validity_seconds,
                 )
-            else:
-                issued = [
-                    shard.ca.issue(
-                        request,
-                        validity_seconds=self.config.cert_validity_seconds,
-                    )
-                    for request in requests
-                ]
+                if requests
+                else []
+            )
         # Bind the issuing key now: a rejoin may roll shard.ca to a new
         # epoch before this batch's delivery event fires.
         issuer_public = shard.ca.public_key
@@ -770,7 +742,7 @@ class FleetOrchestrator:
         for entry in legit:
             wait = start - entry.queued_at
             shard.queue_latency.add(wait)
-            self._queue_latencies.add(wait)
+            self._latencies["ca_queue_latency"].add(wait)
             if self._hooks is not None:
                 self._hooks.queue_wait(self, shard, wait)
         if self._hooks is not None:
@@ -804,11 +776,7 @@ class FleetOrchestrator:
             vehicle.credential = requester.process_response(
                 issued, issuer_public
             )
-            if (
-                self.config.use_batch_ec
-                and self.config.pool_size > 0
-                and vehicle.pool is None
-            ):
+            if self.config.pool_size > 0 and vehicle.pool is None:
                 # Re-enrollments keep the existing pool: its DRBG stream
                 # must never be replayed from the start.
                 vehicle.pool = EphemeralPool(
@@ -830,8 +798,8 @@ class FleetOrchestrator:
                 then()
                 return
             vehicle.enrolled_at = self.sim.now
-            self._enrollments += 1
-            self._enrollment_latencies.add(
+            self._counters["enrollments"] += 1
+            self._latencies["enrollment_latency"].add(
                 self.sim.now - vehicle.arrival_ms
             )
             if self._hooks is not None:
@@ -886,7 +854,7 @@ class FleetOrchestrator:
             shard.active_vehicles -= 1
             adopter = self._adopt_target(vehicle)
             adopter.adopt(vehicle)
-            self._handovers += 1
+            self._counters["handovers"] += 1
             vehicle.log(
                 self.sim.now,
                 "requeue",
@@ -910,7 +878,7 @@ class FleetOrchestrator:
         old.active_vehicles -= 1
         adopter.adopt(vehicle)
         vehicle.handovers += 1
-        self._handovers += 1
+        self._counters["handovers"] += 1
         vehicle.log(
             self.sim.now,
             "handover",
@@ -1037,7 +1005,7 @@ class FleetOrchestrator:
             policy=self._policy,
             clock=self._clock,
         )
-        self._rejoins += 1
+        self._counters["rejoins"] += 1
         if self._hooks is not None:
             self._hooks.rejoin(self, shard)
 
@@ -1085,7 +1053,7 @@ class FleetOrchestrator:
         old.migrations_out += 1
         target.receive_migration(vehicle)
         vehicle.migrations += 1
-        self._migrations += 1
+        self._counters["migrations"] += 1
         vehicle.log(
             self.sim.now,
             "migrate",
@@ -1104,7 +1072,7 @@ class FleetOrchestrator:
 
         def established() -> None:
             vehicle.migrating = False
-            self._migration_latencies.add(self.sim.now - started)
+            self._latencies["migration_latency"].add(self.sim.now - started)
             if self._hooks is not None:
                 self._hooks.migrate_finished(
                     self, vehicle, self.sim.now - started
@@ -1181,7 +1149,7 @@ class FleetOrchestrator:
                 followup()
 
         vehicle.re_enrollments += 1
-        self._re_enrollments += 1
+        self._counters["re_enrollments"] += 1
         vehicle.log(
             self.sim.now, "re-enroll", f"at shard {shard.index} ({reason})"
         )
@@ -1214,7 +1182,7 @@ class FleetOrchestrator:
                 target = self._adopt_target(vehicle)
                 target.adopt(vehicle)
                 vehicle.handovers += 1
-                self._handovers += 1
+                self._counters["handovers"] += 1
                 vehicle.log(
                     self.sim.now,
                     "requeue",
@@ -1298,8 +1266,10 @@ class FleetOrchestrator:
             vehicle.generation = session.generation
             vehicle.sessions += 1
             shard.sessions_established += 1
-            self._sessions_established += 1
-            self._establishment_latencies.add(self.sim.now - started)
+            self._counters["sessions_established"] += 1
+            self._latencies["establishment_latency"].add(
+                self.sim.now - started
+            )
             if self._hooks is not None:
                 self._hooks.establish_finished(
                     self,
@@ -1360,6 +1330,10 @@ class FleetOrchestrator:
             vehicle.manager = None
 
     def _send(self, vehicle: Vehicle) -> None:
+        if vehicle.migrating:
+            # A send scheduled before an explicit migrate() call: the
+            # post-migration establishment starts the next send.
+            return
         if vehicle.records_sent >= self._records_target(vehicle):
             vehicle.done_at = self.sim.now
             self.shards[vehicle.shard].active_vehicles -= 1
@@ -1416,7 +1390,7 @@ class FleetOrchestrator:
             shard.manager.drop(vehicle.device_id)
             vehicle.rekeys += 1
             shard.rekeys += 1
-            self._rekeys += 1
+            self._counters["rekeys"] += 1
             vehicle.log(self.sim.now, "rekey", f"after {vehicle.records_sent} records")
             if self._hooks is not None:
                 self._hooks.rekey(self, vehicle, shard)
@@ -1442,7 +1416,7 @@ class FleetOrchestrator:
             # The replay-storm adversary records the wire verbatim.
             self._captured_records[vehicle.index] = record
         vehicle.records_sent += 1
-        self._records_sent += 1
+        self._counters["records_sent"] += 1
         if self._hooks is not None:
             self._hooks.record_sent(self, vehicle, shard, len(record))
         send_ms = self.vehicle_device.time_ms(send_cost)
@@ -1532,12 +1506,12 @@ class FleetOrchestrator:
             )
             initiator.v2v_sessions += 1
             responder.v2v_sessions += 1
-            self._v2v_sessions += 1
+            self._counters["v2v_sessions"] += 1
             if rekey:
-                self._v2v_rekeys += 1
+                self._counters["v2v_rekeys"] += 1
             if initiator.shard != responder.shard:
-                self._v2v_cross_shard += 1
-            self._v2v_latencies.add(self.sim.now - started)
+                self._counters["v2v_cross_shard"] += 1
+            self._latencies["v2v_latency"].add(self.sim.now - started)
             if self._hooks is not None:
                 self._hooks.v2v_finished(
                     self,
@@ -1603,7 +1577,7 @@ class FleetOrchestrator:
             )
         self._vehicle_energy.add(self.vehicle_device.energy_mj(recv_cost))
         initiator.v2v_records_sent += 1
-        self._v2v_records_sent += 1
+        self._counters["v2v_records_sent"] += 1
         if self._hooks is not None:
             self._hooks.v2v_record(self, initiator, responder)
         send_ms = self.vehicle_device.time_ms(send_cost)
@@ -1909,16 +1883,8 @@ class FleetOrchestrator:
                 for shard in self.shards
                 if shard.index in owned
             ),
-            counters={
-                key: getattr(self, f"_{key}") for key in _COUNTER_FIELDS
-            },
-            latencies={
-                "enrollment_latency": self._enrollment_latencies,
-                "establishment_latency": self._establishment_latencies,
-                "ca_queue_latency": self._queue_latencies,
-                "v2v_latency": self._v2v_latencies,
-                "migration_latency": self._migration_latencies,
-            },
+            counters=self._counters,
+            latencies=self._latencies,
             vehicle_energy=self._vehicle_energy,
             injection_rows=tuple(
                 (log["attempts"], log["rejected"], log["succeeded"])

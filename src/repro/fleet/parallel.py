@@ -90,9 +90,10 @@ __all__ = [
     "run_parallel",
 ]
 
-#: Fleet-level counters, each the orchestrator's ``_<name>`` attribute
-#: and the :class:`~repro.fleet.stats.FleetStats` field of that name;
-#: every one merges by addition.
+#: Fleet-level run counters, keyed by their
+#: :class:`~repro.fleet.stats.FleetStats` field name in the orchestrator's
+#: ``_counters`` and the snapshot's ``counters``; every one merges by
+#: addition.
 _COUNTER_FIELDS = (
     "enrollments",
     "sessions_established",
@@ -106,6 +107,17 @@ _COUNTER_FIELDS = (
     "v2v_rekeys",
     "v2v_cross_shard",
     "v2v_records_sent",
+)
+
+#: :class:`~repro.fleet.stats.FleetStats` latency fields, each a
+#: :class:`~repro.fleet.stats.StreamingLatency` table in the
+#: orchestrator's ``_latencies`` and the snapshot's ``latencies``.
+_LATENCY_FIELDS = (
+    "enrollment_latency",
+    "establishment_latency",
+    "ca_queue_latency",
+    "v2v_latency",
+    "migration_latency",
 )
 
 

@@ -12,12 +12,19 @@ segments **only** for non-degenerate runs — a single-gateway, no-V2V run
 hashes the exact canonical string the single-gateway orchestrator always
 produced, which is what keeps ``shards=1, v2v_fraction=0`` bit-compatible
 with the pre-topology fleet.
+
+Each statistic is declared once, as a dataclass field (see :func:`stat`);
+``as_dict``, ``from_dict`` and :meth:`FleetStats.digest` derive from the
+declarations.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 from ..errors import StatsError
 from ..primitives import sha256
@@ -74,8 +81,136 @@ def _percentile_ceil(sorted_samples: list[float], q: float) -> float:
     return sorted_samples[index]
 
 
+# -- field declarations -----------------------------------------------------
+
+
+def stat(
+    *, path: str = "", token: str = "", fmt: str = "", segment: str = "core",
+    default=MISSING,
+):
+    """Declare one statistic: its ``as_dict`` path and its digest token.
+
+    ``path`` is the dotted ``as_dict`` key (the field name when empty).
+    A ``token`` makes :meth:`FleetStats.digest` hash the field as
+    ``token=value`` in ``segment`` (``core``, ``topology`` or ``churn``),
+    a latency summary as its :meth:`LatencySummary.row` and anything
+    else through ``format(value, fmt)``.  ``default`` is also what
+    ``from_dict`` loads when an older payload lacks the key.  A plain
+    annotated field is a statistic at its own name, never hashed.
+    """
+    return field(
+        default=default, metadata={"stat": (path, token, fmt, segment)}
+    )
+
+
+#: One field declaration, compiled with the ``load``/``dump`` codec of
+#: its annotation; ``path`` is the tuple of ``as_dict`` keys.
+_Stat = collections.namedtuple(
+    "_Stat", "name path token fmt segment default load dump"
+)
+
+
+@functools.cache
+def _schema(cls) -> tuple[_Stat, ...]:
+    """``cls``'s compiled field declarations, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    table = []
+    for f in fields(cls):
+        path, token, fmt, segment = f.metadata.get(
+            "stat", ("", "", "", "core")
+        )
+        load, dump = _codec(hints[f.name])
+        table.append(
+            _Stat(f.name, tuple((path or f.name).split(".")), token, fmt,
+                  segment, f.default, load, dump)
+        )
+    return tuple(table)
+
+
+def _keep(value, where: str = ""):
+    return value
+
+
+def _codec(hint) -> tuple:
+    """``(load, dump)`` for one annotation.
+
+    Floats must be finite; a nested statistics class maps to its own
+    mapping, ``tuple[X, ...]`` to a list of ``X`` and a fixed record such
+    as the ``(name, count)`` profile pair to a plain list.
+    """
+    if hint is float:
+        return _require_finite, _keep
+    if isinstance(hint, type) and issubclass(hint, _Declared):
+        return functools.partial(_load, hint), hint.as_dict
+    if typing.get_origin(hint) is tuple:
+        item, *rest = typing.get_args(hint)
+        if rest != [Ellipsis]:
+            return (lambda data, where: tuple(data)), list
+        load_item, dump_item = _codec(item)
+        return (
+            lambda data, where: tuple(
+                load_item(entry, f"{where}[{i}]")
+                for i, entry in enumerate(data)
+            ),
+            lambda value: [dump_item(entry) for entry in value],
+        )
+    return _keep, _keep
+
+
+def _load(cls, data, where: str):
+    """Build ``cls`` from a mapping found at dotted path ``where``."""
+    values = {}
+    for s in _schema(cls):
+        dotted = ".".join((where, *s.path) if where else s.path)
+        node = data
+        for key in s.path:
+            if not isinstance(node, dict) or key not in node:
+                node = MISSING
+                break
+            node = node[key]
+        if node is not MISSING:
+            values[s.name] = s.load(node, dotted)
+        elif s.default is not MISSING:
+            values[s.name] = s.default
+        else:
+            raise StatsError(
+                f"malformed stats payload: required key {dotted!r} is missing"
+            )
+    return cls(**values)
+
+
+class _Declared:
+    """``as_dict``/``from_dict`` derived from the field declarations."""
+
+    def as_dict(self) -> dict:
+        """JSON-ready mapping: every field at its declared path."""
+        out: dict = {}
+        for s in _schema(type(self)):
+            *sections, key = s.path
+            node = out
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = s.dump(getattr(self, s.name))
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Rebuild an instance from its :meth:`as_dict` mapping.
+
+        A key missing from an older payload loads as its field's
+        default, so frozen records from before the topology, churn and
+        scenario layers still round-trip to their original digest.  A
+        missing required key, or a non-finite float, raises
+        :class:`~repro.errors.StatsError` naming its dotted path.
+        """
+        return _load(cls, data, "")
+
+
+# -- the statistics ---------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class LatencySummary:
+class LatencySummary(_Declared):
     """Summary of a latency sample set (milliseconds).
 
     ``p99_ms`` arrived with the topology benchmarks; it is deliberately
@@ -122,40 +257,9 @@ class LatencySummary:
             f" max={self.max_ms:.3f} ms"
         )
 
-    def as_dict(self) -> dict:
-        """JSON-ready mapping (all fields, including ``p99_ms``)."""
-        return {
-            "count": self.count,
-            "min_ms": self.min_ms,
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "max_ms": self.max_ms,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencySummary":
-        """Rebuild a summary from its :meth:`as_dict` mapping.
-
-        Accepts pre-topology serialized summaries too: ``p99_ms`` only
-        arrived with the topology benchmarks, so dicts written before
-        then lack the key and default to ``0.0`` — the same value the
-        field's dataclass default gives a freshly built summary.
-
-        Non-finite values raise :class:`~repro.errors.StatsError` (a
-        hand-edited or corrupted benchmark record must fail loudly, not
-        hash ``nan`` into a digest).
-        """
-        return cls(
-            count=data["count"],
-            min_ms=_require_finite(data["min_ms"], "min_ms"),
-            mean_ms=_require_finite(data["mean_ms"], "mean_ms"),
-            p50_ms=_require_finite(data["p50_ms"], "p50_ms"),
-            p95_ms=_require_finite(data["p95_ms"], "p95_ms"),
-            max_ms=_require_finite(data["max_ms"], "max_ms"),
-            p99_ms=_require_finite(data.get("p99_ms", 0.0), "p99_ms"),
-        )
+#: The all-zero summary; frozen, so one instance serves every default.
+_EMPTY_LATENCY = LatencySummary.from_samples([])
 
 
 class StreamingLatency:
@@ -305,7 +409,7 @@ class ExactSum:
 
 
 @dataclass(frozen=True)
-class ShardStats:
+class ShardStats(_Declared):
     """One gateway shard's share of a fleet run.
 
     The churn fields (``epoch``, ``migrations_in``, ``migrations_out``)
@@ -367,54 +471,9 @@ class ShardStats:
         """Stable hash of this shard's aggregate numbers."""
         return sha256(self.row().encode()).hex()
 
-    def as_dict(self) -> dict:
-        """JSON-ready mapping of this shard's breakdown."""
-        return {
-            "index": self.index,
-            "name": self.name,
-            "vehicles_assigned": self.vehicles_assigned,
-            "enrollments": self.enrollments,
-            "sessions_established": self.sessions_established,
-            "rekeys": self.rekeys,
-            "handovers_in": self.handovers_in,
-            "failed": self.failed,
-            "ca_busy_ms": self.ca_busy_ms,
-            "ca_utilisation": self.ca_utilisation,
-            "ca_batches": self.ca_batches,
-            "ca_max_batch": self.ca_max_batch,
-            "queue_latency": self.queue_latency.as_dict(),
-            "ca_energy_mj": self.ca_energy_mj,
-            "epoch": self.epoch,
-            "migrations_in": self.migrations_in,
-            "migrations_out": self.migrations_out,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardStats":
-        """Rebuild a shard breakdown from its :meth:`as_dict` mapping."""
-        return cls(
-            index=data["index"],
-            name=data["name"],
-            vehicles_assigned=data["vehicles_assigned"],
-            enrollments=data["enrollments"],
-            sessions_established=data["sessions_established"],
-            rekeys=data["rekeys"],
-            handovers_in=data["handovers_in"],
-            failed=data["failed"],
-            ca_busy_ms=data["ca_busy_ms"],
-            ca_utilisation=data["ca_utilisation"],
-            ca_batches=data["ca_batches"],
-            ca_max_batch=data["ca_max_batch"],
-            queue_latency=LatencySummary.from_dict(data["queue_latency"]),
-            ca_energy_mj=data["ca_energy_mj"],
-            epoch=data.get("epoch", 1),
-            migrations_in=data.get("migrations_in", 0),
-            migrations_out=data.get("migrations_out", 0),
-        )
-
 
 @dataclass(frozen=True)
-class InjectionStats:
+class InjectionStats(_Declared):
     """Outcome accounting of one adversarial scenario injection.
 
     ``attempts`` counts the attack operations the adversary actually ran
@@ -435,27 +494,6 @@ class InjectionStats:
         return (
             f"{self.kind}@{self.at_ms:.3f}ms: attempts={self.attempts}"
             f" rejected={self.rejected} succeeded={self.succeeded}"
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-ready mapping of this injection's accounting."""
-        return {
-            "kind": self.kind,
-            "at_ms": self.at_ms,
-            "attempts": self.attempts,
-            "rejected": self.rejected,
-            "succeeded": self.succeeded,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InjectionStats":
-        """Rebuild the accounting from its :meth:`as_dict` mapping."""
-        return cls(
-            kind=data["kind"],
-            at_ms=data["at_ms"],
-            attempts=data["attempts"],
-            rejected=data["rejected"],
-            succeeded=data["succeeded"],
         )
 
 
@@ -492,12 +530,8 @@ def merge_shard_stats(shards: "tuple[ShardStats, ...] | list[ShardStats]") -> di
     }
 
 
-def _empty_latency() -> LatencySummary:
-    return LatencySummary.from_samples([])
-
-
 @dataclass(frozen=True)
-class FleetStats:
+class FleetStats(_Declared):
     """Aggregate outcome of one :class:`~repro.fleet.FleetOrchestrator` run.
 
     The pre-topology fields keep their exact meaning (``sessions_established``
@@ -529,40 +563,69 @@ class FleetStats:
             True
     """
 
-    vehicles: int
-    enrollments: int
-    sessions_established: int
-    rekeys: int
-    records_sent: int
-    duration_ms: float
-    ca_busy_ms: float
-    ca_utilisation: float
-    ca_batches: int
-    ca_max_batch: int
-    enrollment_latency: LatencySummary
-    establishment_latency: LatencySummary
-    vehicle_energy_mj: float
-    ca_energy_mj: float
+    vehicles: int = stat(token="v")
+    enrollments: int = stat(token="enr")
+    sessions_established: int = stat(token="sess")
+    rekeys: int = stat(token="rekey")
+    records_sent: int = stat(token="rec")
+    duration_ms: float = stat(token="dur", fmt=".6f")
+    ca_busy_ms: float = stat(token="cabusy", fmt=".6f")
+    ca_utilisation: float = stat(token="cau", fmt=".6f")
+    ca_batches: int = stat(token="cab")
+    ca_max_batch: int = stat(token="cam")
+    enrollment_latency: LatencySummary = stat(token="enl")
+    establishment_latency: LatencySummary = stat(token="esl")
+    vehicle_energy_mj: float = stat(
+        path="energy_mj.vehicles", token="ve", fmt=".6f"
+    )
+    ca_energy_mj: float = stat(path="energy_mj.ca", token="cae", fmt=".6f")
     # -- topology extensions (defaults keep legacy construction valid) -------
+    #: Each shard's digest closes the topology segment.
     per_shard: tuple[ShardStats, ...] = ()
-    ca_queue_latency: LatencySummary = field(default_factory=_empty_latency)
-    v2v_sessions: int = 0
-    v2v_rekeys: int = 0
-    v2v_cross_shard: int = 0
-    v2v_records_sent: int = 0
-    v2v_latency: LatencySummary = field(default_factory=_empty_latency)
-    handovers: int = 0
+    ca_queue_latency: LatencySummary = stat(
+        token="qlat", segment="topology", default=_EMPTY_LATENCY
+    )
+    v2v_sessions: int = stat(
+        path="v2v.sessions", token="v2v", segment="topology", default=0
+    )
+    v2v_rekeys: int = stat(
+        path="v2v.rekeys", token="v2vr", segment="topology", default=0
+    )
+    v2v_cross_shard: int = stat(
+        path="v2v.cross_shard", token="v2vx", segment="topology", default=0
+    )
+    v2v_records_sent: int = stat(
+        path="v2v.records_sent", token="v2vrec", segment="topology", default=0
+    )
+    v2v_latency: LatencySummary = stat(
+        path="v2v.latency", token="v2vlat", segment="topology",
+        default=_EMPTY_LATENCY,
+    )
+    handovers: int = stat(token="ho", segment="topology", default=0)
     # -- churn extensions (defaults keep legacy construction valid) ----------
-    migrations: int = 0
-    rejoins: int = 0
-    re_enrollments: int = 0
-    migration_latency: LatencySummary = field(default_factory=_empty_latency)
+    migrations: int = stat(
+        path="churn.migrations", token="mig", segment="churn", default=0
+    )
+    rejoins: int = stat(
+        path="churn.rejoins", token="rej", segment="churn", default=0
+    )
+    re_enrollments: int = stat(
+        path="churn.re_enrollments", token="reenr", segment="churn", default=0
+    )
+    migration_latency: LatencySummary = stat(
+        path="churn.migration_latency", token="miglat", segment="churn",
+        default=_EMPTY_LATENCY,
+    )
     # -- scenario extensions (defaults keep legacy construction valid) -------
     #: Scenario name (metadata only — never hashed, so the same workload
     #: digests identically whether it ran as a named scenario or not).
-    scenario: str = ""
-    profile_counts: tuple[tuple[str, int], ...] = ()
-    injection_stats: tuple[InjectionStats, ...] = ()
+    scenario: str = stat(path="scenario.name", default="")
+    profile_counts: tuple[tuple[str, int], ...] = stat(
+        path="scenario.profiles", default=()
+    )
+    injection_stats: tuple[InjectionStats, ...] = stat(
+        path="scenario.injections", default=()
+    )
     # -- policy extension (defaults keep legacy construction valid) ----------
     #: Policy bundle name (metadata only — never hashed: the ``default``
     #: bundle reproduces the legacy strategies bit-for-bit, so the same
@@ -699,201 +762,59 @@ class FleetStats:
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        """JSON-ready mapping of the whole aggregate (machine-readable
-        benchmark output; ``BENCH_*.json`` files are built from this)."""
+        """JSON-ready mapping (``BENCH_*.json`` is built from it): the
+        declared fields plus the derived rates and the digest, which
+        :meth:`from_dict` recomputes instead of reading."""
         return {
-            "vehicles": self.vehicles,
-            "enrollments": self.enrollments,
-            "sessions_established": self.sessions_established,
-            "rekeys": self.rekeys,
-            "records_sent": self.records_sent,
-            "duration_ms": self.duration_ms,
+            **super().as_dict(),
             "throughput_records_per_s": self.throughput_records_per_s,
             "sessions_per_s": self.sessions_per_s,
-            "ca_busy_ms": self.ca_busy_ms,
-            "ca_utilisation": self.ca_utilisation,
-            "ca_batches": self.ca_batches,
-            "ca_max_batch": self.ca_max_batch,
-            "enrollment_latency": self.enrollment_latency.as_dict(),
-            "establishment_latency": self.establishment_latency.as_dict(),
-            "ca_queue_latency": self.ca_queue_latency.as_dict(),
-            "energy_mj": {
-                "vehicles": self.vehicle_energy_mj,
-                "ca": self.ca_energy_mj,
-            },
-            "v2v": {
-                "sessions": self.v2v_sessions,
-                "rekeys": self.v2v_rekeys,
-                "cross_shard": self.v2v_cross_shard,
-                "records_sent": self.v2v_records_sent,
-                "latency": self.v2v_latency.as_dict(),
-            },
-            "handovers": self.handovers,
-            "churn": {
-                "migrations": self.migrations,
-                "rejoins": self.rejoins,
-                "re_enrollments": self.re_enrollments,
-                "migration_latency": self.migration_latency.as_dict(),
-            },
-            "per_shard": [shard.as_dict() for shard in self.per_shard],
-            "scenario": {
-                "name": self.scenario,
-                "profiles": [
-                    [name, count] for name, count in self.profile_counts
-                ],
-                "injections": [
-                    injection.as_dict() for injection in self.injection_stats
-                ],
-            },
-            "policy": self.policy,
             "digest": self.digest(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetStats":
-        """Rebuild the aggregate from its :meth:`as_dict` mapping.
-
-        Derived fields (throughputs, the digest) are recomputed, so a
-        round-tripped instance compares equal to — and digests identically
-        to — the original; the regression-gate tooling relies on this.
-
-        Back-compat: dicts serialized before the topology/churn/scenario
-        layers lack their sections entirely (``per_shard``, ``v2v``,
-        ``ca_queue_latency``, ``handovers``, ``churn``, ``scenario``).
-        Each missing section falls back to the same defaults the
-        dataclass gives a freshly built pre-topology instance — the
-        ``p99_ms`` precedent in :meth:`LatencySummary.from_dict` — so a
-        frozen legacy record still round-trips to its original digest
-        instead of KeyErroring.
-        """
-        churn = data.get("churn", {})
-        scenario = data.get("scenario", {})
-        v2v = data.get("v2v", {})
-        empty_latency = _empty_latency().as_dict()
-        return cls(
-            vehicles=data["vehicles"],
-            enrollments=data["enrollments"],
-            sessions_established=data["sessions_established"],
-            rekeys=data["rekeys"],
-            records_sent=data["records_sent"],
-            duration_ms=data["duration_ms"],
-            ca_busy_ms=data["ca_busy_ms"],
-            ca_utilisation=data["ca_utilisation"],
-            ca_batches=data["ca_batches"],
-            ca_max_batch=data["ca_max_batch"],
-            enrollment_latency=LatencySummary.from_dict(
-                data["enrollment_latency"]
-            ),
-            establishment_latency=LatencySummary.from_dict(
-                data["establishment_latency"]
-            ),
-            vehicle_energy_mj=data["energy_mj"]["vehicles"],
-            ca_energy_mj=data["energy_mj"]["ca"],
-            per_shard=tuple(
-                ShardStats.from_dict(shard)
-                for shard in data.get("per_shard", [])
-            ),
-            ca_queue_latency=LatencySummary.from_dict(
-                data.get("ca_queue_latency", empty_latency)
-            ),
-            v2v_sessions=v2v.get("sessions", 0),
-            v2v_rekeys=v2v.get("rekeys", 0),
-            v2v_cross_shard=v2v.get("cross_shard", 0),
-            v2v_records_sent=v2v.get("records_sent", 0),
-            v2v_latency=LatencySummary.from_dict(
-                v2v.get("latency", empty_latency)
-            ),
-            handovers=data.get("handovers", 0),
-            migrations=churn.get("migrations", 0),
-            rejoins=churn.get("rejoins", 0),
-            re_enrollments=churn.get("re_enrollments", 0),
-            migration_latency=LatencySummary.from_dict(
-                churn["migration_latency"]
-            )
-            if "migration_latency" in churn
-            else _empty_latency(),
-            scenario=scenario.get("name", ""),
-            profile_counts=tuple(
-                (name, count) for name, count in scenario.get("profiles", [])
-            ),
-            injection_stats=tuple(
-                InjectionStats.from_dict(entry)
-                for entry in scenario.get("injections", [])
-            ),
-            policy=data.get("policy", ""),
-        )
 
     def digest(self) -> str:
         """Stable hash of the aggregate numbers (reproducibility checks).
 
-        Floats are rendered with fixed precision so the digest is
-        insensitive to representation noise but sensitive to any real
-        behavioural change.  The canonical string of a degenerate run
-        (one shard, no V2V, no handovers) is byte-identical to the
-        pre-topology rendering; sharded/V2V/failover runs append
-        extension segments, including every per-shard digest.
+        Every field declared with a ``token`` renders as ``token=value``
+        (floats at fixed precision: insensitive to representation noise,
+        sensitive to any real behavioural change), in declaration order
+        within its segment.  A degenerate run (one shard, no V2V, no
+        handovers) hashes the ``core`` segment alone, byte-identical to
+        the pre-topology string; other runs append the ``topology``
+        segment, the ``churn`` segment if churn happened, and every
+        per-shard digest (epoch awareness rides in through
+        :meth:`ShardStats.row`).
         """
-        canonical = "|".join(
-            [
-                f"v={self.vehicles}",
-                f"enr={self.enrollments}",
-                f"sess={self.sessions_established}",
-                f"rekey={self.rekeys}",
-                f"rec={self.records_sent}",
-                f"dur={self.duration_ms:.6f}",
-                f"cabusy={self.ca_busy_ms:.6f}",
-                f"cau={self.ca_utilisation:.6f}",
-                f"cab={self.ca_batches}",
-                f"cam={self.ca_max_batch}",
-                f"enl={self.enrollment_latency.row()}",
-                f"esl={self.establishment_latency.row()}",
-                f"ve={self.vehicle_energy_mj:.6f}",
-                f"cae={self.ca_energy_mj:.6f}",
-            ]
-        )
+        segments: dict = {"core": [], "topology": [], "churn": []}
+        for s in _schema(FleetStats):
+            if s.token:
+                value = getattr(self, s.name)
+                if isinstance(value, LatencySummary):
+                    value = value.row()
+                segments[s.segment].append(f"{s.token}={value:{s.fmt}}")
+        tokens = segments["core"]
         if self.is_topology_run:
-            extension = [
-                f"qlat={self.ca_queue_latency.row()}",
-                f"v2v={self.v2v_sessions}",
-                f"v2vr={self.v2v_rekeys}",
-                f"v2vx={self.v2v_cross_shard}",
-                f"v2vrec={self.v2v_records_sent}",
-                f"v2vlat={self.v2v_latency.row()}",
-                f"ho={self.handovers}",
-            ]
+            tokens += segments["topology"]
             if self.is_churn_run:
-                # Churn sub-segment: only churn runs hash it, so every
-                # pre-churn topology digest stays bit-identical.  Epoch
-                # awareness rides in through the per-shard digests below
-                # (ShardStats.row renders epoch/migration counters).
-                extension.extend(
-                    [
-                        f"mig={self.migrations}",
-                        f"rej={self.rejoins}",
-                        f"reenr={self.re_enrollments}",
-                        f"miglat={self.migration_latency.row()}",
-                    ]
-                )
-            extension.extend(
+                tokens += segments["churn"]
+            tokens += (
                 f"shard{shard.index}={shard.digest()}"
                 for shard in self.per_shard
             )
-            canonical = canonical + "|" + "|".join(extension)
         if self.is_scenario_run:
-            # Scenario sub-segment: only runs shaped by profiles or
+            # Scenario segment: only runs shaped by profiles or
             # injections hash it, so every historical digest — including
             # a named scenario that merely swaps the arrival process —
             # stays bit-identical.  The scenario *name* is metadata and
             # deliberately excluded.
-            scenario_extension = [
+            tokens.append(
                 "profiles="
                 + ",".join(
                     f"{name}:{count}" for name, count in self.profile_counts
-                ),
-                *(
-                    f"inj{index}={injection.row()}"
-                    for index, injection in enumerate(self.injection_stats)
-                ),
-            ]
-            canonical = canonical + "|" + "|".join(scenario_extension)
-        return sha256(canonical.encode()).hex()
+                )
+            )
+            tokens += (
+                f"inj{index}={injection.row()}"
+                for index, injection in enumerate(self.injection_stats)
+            )
+        return sha256("|".join(tokens).encode()).hex()

@@ -222,7 +222,7 @@ class FleetTopology:
             gw_issued, ca.public_key
         )
         pool: EphemeralPool | None = None
-        if config.use_batch_ec and config.pool_size > 0:
+        if config.pool_size > 0:
             pool = EphemeralPool(
                 config.curve,
                 HmacDrbg(config.seed, personalization=pool_pers),

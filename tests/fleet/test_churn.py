@@ -24,6 +24,7 @@ from repro.fleet import (
     plan_v2v_pairs,
     run_fleet,
 )
+from repro.obs import Observer
 from repro.protocols import SessionExpired
 from repro.testbed import DEFAULT_NOW
 
@@ -245,6 +246,36 @@ class TestExplicitMigrateApi:
         orchestrator, vehicle, _, _ = forced
         with pytest.raises(SimulationError):
             orchestrator.migrate(vehicle, orchestrator.shards[vehicle.shard])
+
+    def test_migrate_outside_a_send_leaves_one_send_loop(self):
+        # Regression: the send already scheduled when migrate() ran from
+        # outside a send used to fire mid-migration, re-key at the target
+        # with the old certificate and start a second send loop (three
+        # establishments, two "done" events, a shard at -1 active, and a
+        # double-ended span under an observer).
+        config = _topology_config(
+            n_vehicles=6,
+            seed=b"churn-explicit",
+            records_per_vehicle=40,
+            max_records=100,
+            send_interval_ms=25.0,
+            shards=2,
+        )
+        obs = Observer()
+        orchestrator = FleetOrchestrator(config, obs=obs)
+        vehicle = orchestrator.vehicles[0]
+        orchestrator.sim.schedule_at(
+            4_200.0,
+            lambda: orchestrator.migrate(
+                vehicle, orchestrator.shards[1 - vehicle.shard]
+            ),
+        )
+        orchestrator.run()
+        obs.validate()
+        assert vehicle.migrations == 1
+        assert vehicle.sessions == 2
+        assert [e.kind for e in vehicle.events].count("done") == 1
+        assert [s.active_vehicles for s in orchestrator.shards] == [0, 0]
 
 
 class TestGatewayRejoin:

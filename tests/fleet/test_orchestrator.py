@@ -3,7 +3,7 @@
 Small fleets keep the real-crypto cost low; the assertions cover the
 lifecycle invariants (everyone enrolls, establishes, re-keys under
 policy, finishes), determinism, CA contention accounting and the
-batched/non-batched ablation.
+pooled/pool-less ablation.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class TestDeterminism:
 
 
 class TestAblationAndPolicy:
-    def test_non_batched_path_same_logical_outcome(self, result):
+    def test_pool_less_path_same_logical_outcome(self, result):
         plain = run_fleet(
             FleetConfig(
                 n_vehicles=4,
@@ -101,7 +101,7 @@ class TestAblationAndPolicy:
                 max_records=3,
                 send_interval_ms=20.0,
                 arrival_spread_ms=30.0,
-                use_batch_ec=False,
+                pool_size=0,
             )
         )
         assert plain.stats.sessions_established == 8
