@@ -119,7 +119,7 @@ from .topology import (
     GatewayShard,
     plan_v2v_pairs,
 )
-from .vehicle import Vehicle
+from .vehicle import LIFECYCLE_STEPS, Vehicle
 
 __all__ = [
     "FleetConfig",
@@ -599,7 +599,7 @@ class FleetOrchestrator:
         #: is digest-neutral for every other bundle.
         self._last_storm_ms: float | None = None
         self.policy = PolicyEngine(
-            resolve_policies(config, self.schedule), hooks=self._hooks
+            resolve_policies(config, self.schedule), note=self._note
         )
 
     # -- deterministic context factories --------------------------------------
@@ -649,19 +649,50 @@ class FleetOrchestrator:
 
         return factory
 
+    # -- narration -------------------------------------------------------------
+
+    def _note(self, step: str, vehicle=None, detail: str = "", **data) -> None:
+        """Narrate one step of :data:`~repro.fleet.vehicle.LIFECYCLE_STEPS`.
+
+        Nothing else writes a timeline or calls the observer: a step with
+        a timeline kind appends it, with ``detail``, to ``vehicle``'s
+        timeline, and an attached observer receives every step with
+        ``data``.  An unknown step raises ``KeyError``.
+        """
+        kind = LIFECYCLE_STEPS[step]
+        if kind is not None:
+            vehicle.log(self.sim.now, kind, detail)
+        if self._hooks is not None:
+            self._hooks.on(step, self, vehicle, data)
+
     # -- enrollment ------------------------------------------------------------
 
     def _arrive(self, vehicle: Vehicle) -> None:
-        vehicle.log(self.sim.now, "arrive")
-        if self._hooks is not None:
-            self._hooks.vehicle_arrived(self, vehicle)
+        self._note("arrive", vehicle)
+
+        def place() -> GatewayShard:
+            shard = self._assign(vehicle)
+            vehicle.shard = shard.index
+            shard.vehicles_assigned += 1
+            shard.active_vehicles += 1
+            return shard
+
+        self._request_certificate(
+            vehicle, b"fleet|%s|enroll" % vehicle.name.encode(), place
+        )
+
+    def _request_certificate(
+        self, vehicle: Vehicle, personalization: bytes, place, then=None
+    ) -> None:
+        """The request pipeline of first enrollment and re-enrollment.
+
+        Once the priced request is computed, ``place()`` picks the shard
+        whose CA queue takes it; ``then`` rides the :class:`_QueueEntry`.
+        """
         requester = CertificateRequester(
             self.config.curve,
             vehicle.device_id,
-            HmacDrbg(
-                self.config.seed,
-                personalization=b"fleet|%s|enroll" % vehicle.name.encode(),
-            ),
+            HmacDrbg(self.config.seed, personalization=personalization),
         )
         with trace.trace(f"{vehicle.name}:request") as cost:
             request = requester.create_request(
@@ -671,18 +702,12 @@ class FleetOrchestrator:
         self._vehicle_energy.add(self.vehicle_device.energy_mj(cost))
 
         def submit() -> None:
-            shard = self._assign(vehicle)
-            vehicle.shard = shard.index
-            shard.vehicles_assigned += 1
-            shard.active_vehicles += 1
-            detail = (
-                "queued at CA"
-                if self.config.shards == 1
-                else f"queued at shard {shard.index}"
-            )
-            vehicle.log(self.sim.now, "request", detail)
+            shard = place()
+            where = "CA" if self.config.shards == 1 else f"shard {shard.index}"
+            prefix = "" if then is None else "re-enroll "
+            self._note("request", vehicle, f"{prefix}queued at {where}")
             shard.queue.append(
-                _QueueEntry(vehicle, requester, request, self.sim.now)
+                _QueueEntry(vehicle, requester, request, self.sim.now, then)
             )
             self._pump_ca(shard)
 
@@ -743,12 +768,11 @@ class FleetOrchestrator:
             wait = start - entry.queued_at
             shard.queue_latency.add(wait)
             self._latencies["ca_queue_latency"].add(wait)
-            if self._hooks is not None:
-                self._hooks.queue_wait(self, shard, wait)
-        if self._hooks is not None:
-            self._hooks.ca_batch(
-                self, shard, batch_size, len(attacks), start, end
-            )
+            self._note("queue-wait", shard=shard, wait_ms=wait)
+        self._note(
+            "ca-batch", shard=shard, batch=batch_size, attacks=len(attacks),
+            start_ms=start, end_ms=end,
+        )
         shard.issuing = True
         shard.batches += 1
         shard.max_batch = max(shard.max_batch, batch_size)
@@ -771,7 +795,7 @@ class FleetOrchestrator:
         self, vehicle, requester, issued, issuer_public, then=None
     ) -> None:
         shard = self.shards[vehicle.shard]
-        vehicle.log(self.sim.now, "certified", f"serial {issued.certificate.serial}")
+        self._note("certified", vehicle, f"serial {issued.certificate.serial}")
         with trace.trace(f"{vehicle.name}:reception") as cost:
             vehicle.credential = requester.process_response(
                 issued, issuer_public
@@ -794,19 +818,13 @@ class FleetOrchestrator:
         def enrolled() -> None:
             shard.enrollments += 1
             if then is not None:
-                vehicle.log(self.sim.now, "re-enrolled")
                 then()
                 return
             vehicle.enrolled_at = self.sim.now
             self._counters["enrollments"] += 1
-            self._latencies["enrollment_latency"].add(
-                self.sim.now - vehicle.arrival_ms
-            )
-            if self._hooks is not None:
-                self._hooks.vehicle_enrolled(
-                    self, vehicle, self.sim.now - vehicle.arrival_ms
-                )
-            vehicle.log(self.sim.now, "enrolled")
+            latency = self.sim.now - vehicle.arrival_ms
+            self._latencies["enrollment_latency"].add(latency)
+            self._note("enrolled", vehicle, latency_ms=latency)
             self._establish(vehicle)
 
         self.sim.schedule_after(duration, enrolled)
@@ -853,19 +871,10 @@ class FleetOrchestrator:
             vehicle = entry.vehicle
             shard.active_vehicles -= 1
             adopter = self._adopt_target(vehicle)
-            adopter.adopt(vehicle)
-            self._counters["handovers"] += 1
-            vehicle.log(
-                self.sim.now,
-                "requeue",
-                f"shard {shard.index} -> shard {adopter.index}",
-            )
-            if self._hooks is not None:
-                self._hooks.handover(self, vehicle, shard, adopter)
+            self._book_handover(vehicle, shard, adopter, "requeue")
             adopter.queue.append(entry)
             touched.append(adopter)
-        if self._hooks is not None:
-            self._hooks.shard_failed(self, shard, len(touched))
+        self._note("shard-failed", shard=shard, requeued=len(touched))
         for adopter in touched:
             self._pump_ca(adopter)
 
@@ -876,17 +885,20 @@ class FleetOrchestrator:
         vehicle.manager.drop(old.gateway_id)
         old.manager.drop(vehicle.device_id)
         old.active_vehicles -= 1
+        self._book_handover(vehicle, old, adopter, "handover")
+        return adopter
+
+    def _book_handover(self, vehicle, old, adopter, step) -> None:
+        """Book one move of ``vehicle`` off the dead shard ``old``.
+
+        Each caller decrements ``old.active_vehicles`` itself, before or
+        after it picks the adopter: the adoption policy sees that count.
+        """
         adopter.adopt(vehicle)
         vehicle.handovers += 1
         self._counters["handovers"] += 1
-        vehicle.log(
-            self.sim.now,
-            "handover",
-            f"shard {old.index} -> shard {adopter.index}",
-        )
-        if self._hooks is not None:
-            self._hooks.handover(self, vehicle, old, adopter)
-        return adopter
+        detail = f"shard {old.index} -> shard {adopter.index}"
+        self._note(step, vehicle, detail, old=old, adopter=adopter)
 
     # -- policy decision points --------------------------------------------------
 
@@ -1006,8 +1018,7 @@ class FleetOrchestrator:
             clock=self._clock,
         )
         self._counters["rejoins"] += 1
-        if self._hooks is not None:
-            self._hooks.rejoin(self, shard)
+        self._note("rejoin", shard=shard)
 
     def migrate(
         self,
@@ -1054,29 +1065,23 @@ class FleetOrchestrator:
         target.receive_migration(vehicle)
         vehicle.migrations += 1
         self._counters["migrations"] += 1
-        vehicle.log(
-            self.sim.now,
-            "migrate",
-            f"shard {old.index} -> shard {target.index}",
-        )
-        if self._hooks is not None:
-            if rule is None:
-                # Engine-decided migrations were already attributed by
-                # PolicyEngine.decide; direct API calls are attributed
-                # here so the policy.migrate counter balances the
-                # per-shard migration flow (tracelint policy-balance).
-                self._hooks.policy_decision(
-                    self.sim.now, "migrate", "api", vehicle.index, target.index
-                )
-            self._hooks.migrate_started(self, vehicle, old, target)
+        if rule is None:
+            # Engine-decided migrations were already attributed by
+            # PolicyEngine.decide; direct API calls are attributed here
+            # so the policy.migrate counter balances the per-shard
+            # migration flow (tracelint policy-balance).
+            self._note(
+                "policy", vehicle, point="migrate", rule="api",
+                target_shard=target.index,
+            )
+        detail = f"shard {old.index} -> shard {target.index}"
+        self._note("migrate", vehicle, detail, old=old, target=target)
 
         def established() -> None:
             vehicle.migrating = False
-            self._latencies["migration_latency"].add(self.sim.now - started)
-            if self._hooks is not None:
-                self._hooks.migrate_finished(
-                    self, vehicle, self.sim.now - started
-                )
+            latency = self.sim.now - started
+            self._latencies["migration_latency"].add(latency)
+            self._note("migrated", vehicle, latency_ms=latency)
 
         self._re_enroll(
             vehicle,
@@ -1128,79 +1133,40 @@ class FleetOrchestrator:
         """
         if vehicle.re_enrolling:
             self._re_enroll_followups[vehicle.index].append(then)
-            vehicle.log(
-                self.sim.now, "re-enroll", f"coalesced ({reason})"
-            )
-            if self._hooks is not None:
-                self._hooks.re_enroll_coalesced(self, vehicle)
+            self._note("re-enroll-coalesced", vehicle, f"coalesced ({reason})")
             return
         vehicle.re_enrolling = True
         self._re_enroll_followups[vehicle.index] = []
-        if self._hooks is not None:
-            self._hooks.re_enroll_started(self, vehicle, shard, reason)
 
         def complete() -> None:
             vehicle.re_enrolling = False
             followups = self._re_enroll_followups.pop(vehicle.index, [])
-            if self._hooks is not None:
-                self._hooks.re_enroll_finished(self, vehicle)
+            self._note("re-enrolled", vehicle)
             then()
             for followup in followups:
                 followup()
 
+        def place() -> GatewayShard:
+            if not shard.failed:
+                return shard
+            # The shard died while the request was computed: requeue the
+            # request at a survivor rather than strand it in a dead queue.
+            shard.active_vehicles -= 1
+            adopter = self._adopt_target(vehicle)
+            self._book_handover(vehicle, shard, adopter, "requeue")
+            return adopter
+
         vehicle.re_enrollments += 1
         self._counters["re_enrollments"] += 1
-        vehicle.log(
-            self.sim.now, "re-enroll", f"at shard {shard.index} ({reason})"
+        detail = f"at shard {shard.index} ({reason})"
+        self._note("re-enroll", vehicle, detail, shard=shard, reason=reason)
+        self._request_certificate(
+            vehicle,
+            b"fleet|%s|enroll|%d"
+            % (vehicle.name.encode(), vehicle.re_enrollments),
+            place,
+            complete,
         )
-        requester = CertificateRequester(
-            self.config.curve,
-            vehicle.device_id,
-            HmacDrbg(
-                self.config.seed,
-                personalization=b"fleet|%s|enroll|%d"
-                % (vehicle.name.encode(), vehicle.re_enrollments),
-            ),
-        )
-        with trace.trace(f"{vehicle.name}:request") as cost:
-            request = requester.create_request(
-                authenticate=self.config.authenticate_requests
-            )
-        duration = self.vehicle_device.time_ms(cost)
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(cost))
-
-        def submit() -> None:
-            target = shard
-            if target.failed:
-                # The chosen shard died while the request was being
-                # computed: hand over to a survivor instead of stranding
-                # the request in a dead queue (same accounting as
-                # _handover, so the dead shard's active count and the
-                # vehicle's handover tally stay truthful for the
-                # post-rejoin re-balancer).
-                target.active_vehicles -= 1
-                target = self._adopt_target(vehicle)
-                target.adopt(vehicle)
-                vehicle.handovers += 1
-                self._counters["handovers"] += 1
-                vehicle.log(
-                    self.sim.now,
-                    "requeue",
-                    f"shard {shard.index} -> shard {target.index}",
-                )
-            vehicle.log(
-                self.sim.now,
-                "request",
-                f"re-enroll queued at shard {target.index}",
-            )
-            target.queue.append(
-                _QueueEntry(
-                    vehicle, requester, request, self.sim.now, complete
-                )
-            )
-            self._pump_ca(target)
-
-        self.sim.schedule_after(duration, submit)
 
     # -- session establishment -------------------------------------------------
 
@@ -1231,8 +1197,7 @@ class FleetOrchestrator:
             )
             return
         started = self.sim.now
-        if self._hooks is not None:
-            self._hooks.establish_started(self, vehicle, shard)
+        self._note("establish", vehicle)
         ctx_vehicle = vehicle.manager.context_factory()
         ctx_gateway = shard.manager.context_factory()
         info = get_protocol(self.config.protocol)
@@ -1267,21 +1232,11 @@ class FleetOrchestrator:
             vehicle.sessions += 1
             shard.sessions_established += 1
             self._counters["sessions_established"] += 1
-            self._latencies["establishment_latency"].add(
-                self.sim.now - started
-            )
-            if self._hooks is not None:
-                self._hooks.establish_finished(
-                    self,
-                    vehicle,
-                    shard,
-                    self.sim.now - started,
-                    session.generation,
-                )
-            vehicle.log(
-                self.sim.now,
-                "established",
-                f"generation {session.generation}",
+            latency = self.sim.now - started
+            self._latencies["establishment_latency"].add(latency)
+            self._note(
+                "established", vehicle, f"generation {session.generation}",
+                shard=shard, latency_ms=latency,
             )
             if vehicle.sessions == 1 and vehicle.v2v_peer_index is not None:
                 self._v2v_mark_ready(vehicle)
@@ -1337,9 +1292,7 @@ class FleetOrchestrator:
         if vehicle.records_sent >= self._records_target(vehicle):
             vehicle.done_at = self.sim.now
             self.shards[vehicle.shard].active_vehicles -= 1
-            vehicle.log(self.sim.now, "done", f"{vehicle.records_sent} records")
-            if self._hooks is not None:
-                self._hooks.vehicle_done(self, vehicle)
+            self._note("done", vehicle, f"{vehicle.records_sent} records")
             if self.config.stream:
                 self._release_vehicle(vehicle)
             return
@@ -1391,9 +1344,8 @@ class FleetOrchestrator:
             vehicle.rekeys += 1
             shard.rekeys += 1
             self._counters["rekeys"] += 1
-            vehicle.log(self.sim.now, "rekey", f"after {vehicle.records_sent} records")
-            if self._hooks is not None:
-                self._hooks.rekey(self, vehicle, shard)
+            detail = f"after {vehicle.records_sent} records"
+            self._note("rekey", vehicle, detail)
             self._establish(vehicle)
             return
         payload = (
@@ -1417,8 +1369,7 @@ class FleetOrchestrator:
             self._captured_records[vehicle.index] = record
         vehicle.records_sent += 1
         self._counters["records_sent"] += 1
-        if self._hooks is not None:
-            self._hooks.record_sent(self, vehicle, shard, len(record))
+        self._note("record", vehicle, record_bytes=len(record))
         send_ms = self.vehicle_device.time_ms(send_cost)
         bus_ms = len(record) * self.config.bus_ms_per_byte
         self.sim.schedule_after(
@@ -1472,8 +1423,7 @@ class FleetOrchestrator:
                 )
                 return
         started = self.sim.now
-        if self._hooks is not None:
-            self._hooks.v2v_started(self, initiator, responder, rekey)
+        self._note("v2v-establish", initiator, responder=responder, rekey=rekey)
         ctx_initiator = initiator.manager.context_factory()
         ctx_responder = responder.manager.context_factory()
         info = get_protocol(self.config.protocol)
@@ -1509,23 +1459,20 @@ class FleetOrchestrator:
             self._counters["v2v_sessions"] += 1
             if rekey:
                 self._counters["v2v_rekeys"] += 1
-            if initiator.shard != responder.shard:
+            cross_shard = initiator.shard != responder.shard
+            if cross_shard:
                 self._counters["v2v_cross_shard"] += 1
-            self._latencies["v2v_latency"].add(self.sim.now - started)
-            if self._hooks is not None:
-                self._hooks.v2v_finished(
-                    self,
-                    initiator,
-                    responder,
-                    self.sim.now - started,
-                    initiator.shard != responder.shard,
-                )
+            latency = self.sim.now - started
+            self._latencies["v2v_latency"].add(latency)
             detail = f"with {responder.name}" + (
-                " (cross-shard)" if initiator.shard != responder.shard else ""
+                " (cross-shard)" if cross_shard else ""
             )
-            initiator.log(self.sim.now, "v2v-established", detail)
-            responder.log(
-                self.sim.now, "v2v-established", f"with {initiator.name}"
+            self._note(
+                "v2v-established", initiator, detail, responder=responder,
+                latency_ms=latency, cross_shard=cross_shard,
+            )
+            self._note(
+                "v2v-peer-established", responder, f"with {initiator.name}"
             )
             self.sim.schedule_after(
                 self.config.send_interval_ms,
@@ -1538,23 +1485,20 @@ class FleetOrchestrator:
         if initiator.v2v_records_sent >= self.config.v2v_records:
             initiator.v2v_done_at = self.sim.now
             responder.v2v_done_at = self.sim.now
-            initiator.log(
-                self.sim.now,
+            self._note(
                 "v2v-done",
+                initiator,
                 f"{initiator.v2v_records_sent} records to {responder.name}",
             )
-            responder.log(self.sim.now, "v2v-done", f"from {initiator.name}")
+            self._note("v2v-peer-done", responder, f"from {initiator.name}")
             return
         if initiator.manager.needs_rekey(
             responder.device_id
         ) or responder.manager.needs_rekey(initiator.device_id):
             initiator.manager.drop(responder.device_id)
             responder.manager.drop(initiator.device_id)
-            initiator.log(
-                self.sim.now,
-                "v2v-rekey",
-                f"after {initiator.v2v_records_sent} records",
-            )
+            detail = f"after {initiator.v2v_records_sent} records"
+            self._note("v2v-rekey", initiator, detail)
             self._establish_v2v(initiator, responder, rekey=True)
             return
         payload = (
@@ -1578,8 +1522,7 @@ class FleetOrchestrator:
         self._vehicle_energy.add(self.vehicle_device.energy_mj(recv_cost))
         initiator.v2v_records_sent += 1
         self._counters["v2v_records_sent"] += 1
-        if self._hooks is not None:
-            self._hooks.v2v_record(self, initiator, responder)
+        self._note("v2v-record", initiator)
         send_ms = self.vehicle_device.time_ms(send_cost)
         recv_ms = self.vehicle_device.time_ms(recv_cost)
         bus_ms = len(record) * self.config.bus_ms_per_byte
@@ -1734,8 +1677,7 @@ class FleetOrchestrator:
             self._inject_ca_flood(index, spec, log)
         else:  # pragma: no cover - compile_scenario validates kinds
             raise SimulationError(f"unknown injection {spec!r}")
-        if self._hooks is not None:
-            self._hooks.injection_ran(self, index, log["kind"], log)
+        self._note("injection", index=index, log=log)
 
     # -- driving -----------------------------------------------------------------
 
@@ -1775,8 +1717,7 @@ class FleetOrchestrator:
             stats = _merge(
                 self.config, self.scenario, self.schedule, [snapshot]
             )
-            if self._hooks is not None:
-                self._hooks.run_finished(self, stats)
+            self._note("run-finished", stats=stats)
         return FleetResult(stats=stats, vehicles=self.vehicles, obs=self.obs)
 
     def _predicted_shard(self, vehicle: Vehicle) -> int:
@@ -1806,8 +1747,7 @@ class FleetOrchestrator:
         events never interleave *within* a shard's stream).  Runs under
         the caller's backend scope and returns the merge-ready snapshot.
         """
-        if self._hooks is not None:
-            self._hooks.run_started(self)
+        self._note("run-started")
         everything = len(owned) == self.config.shards
         mine = [
             vehicle

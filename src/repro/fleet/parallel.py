@@ -57,7 +57,7 @@ worker/parent version skew) fails loudly instead of silently producing
 a wrong digest.
 
 Worker-local telemetry: workers run their own
-:class:`~repro.obs.fleet.FleetInstrumentation` hooks; metric snapshots
+:class:`~repro.obs.fleet.FleetInstrumentation`; metric snapshots
 merge into the parent observer (counters add, gauges max, histogram
 sums are exact), while span streams stay worker-local — the parent
 observer carries the merged metrics, the final heartbeat (annotated
@@ -271,7 +271,7 @@ def _worker_run(payload) -> WorkerSnapshot:
     if obs is not None:
         from ..obs.tree import DigestTree
 
-        orch._hooks.partition_finished(orch)
+        orch._note("partition-finished")
         snap.metrics = obs.metrics.snapshot()
         # The worker's metric-plane subtree root: the parent rebuilds
         # the subtree from the shipped snapshot and verifies it hashes
@@ -473,10 +473,10 @@ def _merge(config, scenario, schedule, snapshots) -> FleetStats:
 def _finalize_obs(obs, config, scenario, stats, snapshots) -> None:
     """Fold worker telemetry into the parent observer.
 
-    Mirrors ``FleetInstrumentation.run_finished`` for the parts the
-    parent owns: merged metrics, per-kind injection counters, the final
-    heartbeat (annotated with the fleet-wide peak RSS when available)
-    and the run meta.  Span streams stay worker-local by design.
+    Mirrors the observer's ``run-finished`` step handler for the parts
+    the parent owns: merged metrics, per-kind injection counters, the
+    final heartbeat (annotated with the fleet-wide peak RSS when
+    available) and the run meta.  Span streams stay worker-local by design.
 
     The absorb step carries its own proof: each worker shipped the
     digest-tree root of its metric-plane subtree, so the parent

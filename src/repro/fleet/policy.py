@@ -652,6 +652,10 @@ def resolve_policies(config, schedule=None) -> tuple:
 # Engine
 # ---------------------------------------------------------------------------
 
+def _silent(step, vehicle=None, detail="", **data) -> None:
+    """The narrator of an engine that runs outside an orchestrator."""
+
+
 class PolicyEngine:
     """Evaluates registered rules at the fleet's decision points.
 
@@ -662,12 +666,14 @@ class PolicyEngine:
     rule gets a private ``memory`` dict for counters and cool-downs.
 
     ``decision_counts`` tallies ``(point, kind) -> fires`` for the
-    ablation benchmark; the observability hooks (when attached) emit a
-    span event and a ``policy.<point>`` counter per decision.
+    ablation benchmark.  ``note`` is the orchestrator's lifecycle
+    narrator: each decision is reported to it as a ``policy`` step,
+    which an attached observer turns into a span event and a
+    ``policy.<point>`` counter.
     """
 
-    def __init__(self, rules, hooks=None) -> None:
-        self._hooks = hooks
+    def __init__(self, rules, note=_silent) -> None:
+        self._note = note
         self._points: dict = {point: [] for point in DECISION_POINTS}
         self.decision_counts: dict = {}
         for rule in rules:
@@ -708,14 +714,13 @@ class PolicyEngine:
             self._validate(decision, state, rule)
             key = (point, rule.kind)
             self.decision_counts[key] = self.decision_counts.get(key, 0) + 1
-            if self._hooks is not None:
-                self._hooks.policy_decision(
-                    state.now_ms,
-                    point,
-                    rule.kind,
-                    state.vehicle.index,
-                    decision.target_shard,
-                )
+            self._note(
+                "policy",
+                state.vehicle,
+                point=point,
+                rule=rule.kind,
+                target_shard=decision.target_shard,
+            )
             return decision
         return None
 

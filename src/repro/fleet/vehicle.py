@@ -5,7 +5,9 @@ session-key lifecycle: ECQV enrollment at the CA, dynamic key derivation
 with the gateway, then managed application traffic until the session-key
 policy forces a re-key.  The timeline records every lifecycle transition
 with its discrete-event timestamp, giving per-vehicle observability on
-top of the fleet-wide aggregates.
+top of the fleet-wide aggregates.  The transitions come from one closed
+vocabulary, :data:`LIFECYCLE_STEPS`, which the orchestrator's narrator
+also feeds to an attached observer.
 """
 
 from __future__ import annotations
@@ -19,15 +21,57 @@ from ..protocols.pool import EphemeralPool
 
 @dataclass(frozen=True)
 class TimelineEvent:
-    """One lifecycle transition of a vehicle (times in simulator ms)."""
+    """One lifecycle transition of a vehicle (times in simulator ms).
+
+    ``kind`` is one of the non-``None`` values of
+    :data:`LIFECYCLE_STEPS`.
+    """
 
     time_ms: float
-    kind: str  # "arrive" | "request" | "certified" | "enrolled"
-    #          # | "established" | "rekey" | "done"
-    #          # | "requeue" | "handover" (gateway failover)
-    #          # | "v2v-established" | "v2v-rekey" | "v2v-done"
-    #          # | "migrate" | "re-enroll" | "re-enrolled" (fleet churn)
+    kind: str
     detail: str = ""
+
+
+#: The closed vocabulary of lifecycle steps ``FleetOrchestrator._note``
+#: narrates, in lifecycle order.  Each maps to the :class:`TimelineEvent`
+#: kind it appends to the vehicle's timeline, or to ``None`` for a step
+#: only an attached observer sees.  Three steps share a kind with
+#: another: a re-enrollment coalesced into the one in flight, and the
+#: responder's side of a V2V pair (the initiator narrates the pair).
+LIFECYCLE_STEPS: dict[str, str | None] = {
+    "run-started": None,
+    "arrive": "arrive",
+    "request": "request",
+    "queue-wait": None,
+    "ca-batch": None,
+    "certified": "certified",
+    "enrolled": "enrolled",
+    "establish": None,
+    "established": "established",
+    "record": None,
+    "rekey": "rekey",
+    "done": "done",
+    "shard-failed": None,
+    "requeue": "requeue",
+    "handover": "handover",
+    "rejoin": None,
+    "policy": None,
+    "migrate": "migrate",
+    "migrated": None,
+    "re-enroll": "re-enroll",
+    "re-enroll-coalesced": "re-enroll",
+    "re-enrolled": "re-enrolled",
+    "v2v-establish": None,
+    "v2v-established": "v2v-established",
+    "v2v-peer-established": "v2v-established",
+    "v2v-record": None,
+    "v2v-rekey": "v2v-rekey",
+    "v2v-done": "v2v-done",
+    "v2v-peer-done": "v2v-done",
+    "injection": None,
+    "partition-finished": None,
+    "run-finished": None,
+}
 
 
 @dataclass

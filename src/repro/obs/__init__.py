@@ -11,11 +11,12 @@ heartbeats) and *how long primitives took on this host per backend*
 Two contracts, inherited from :class:`repro.trace.CostTrace`:
 
 * **Zero overhead when disabled.**  Without an observer attached the
-  orchestrator's only extra work is one ``is not None`` check per hook
-  site.
-* **Digest-neutral when enabled.**  Hooks read state; they never
-  consume DRBG output, never schedule simulator events, and never
-  mutate fleet state — every historical golden digest reproduces
+  orchestrator's only extra work is the one ``is not None`` check in
+  its lifecycle narrator, and nothing in this package is imported.
+* **Digest-neutral when enabled.**  The step handlers in
+  :mod:`repro.obs.fleet` read state; they never consume DRBG output,
+  never schedule simulator events, and never mutate fleet state —
+  every historical golden digest reproduces
   bit-identically with observability on or off
   (``tests/fleet/test_obs_integration.py`` locks all of PR 1–6).
 

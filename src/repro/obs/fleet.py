@@ -1,13 +1,18 @@
-"""Lifecycle hooks connecting the fleet orchestrator to an Observer.
+"""Step handlers connecting the fleet orchestrator to an Observer.
 
-The orchestrator calls one hook per lifecycle event, always guarded by
-``if self._hooks is not None`` — when no observer is attached not a
-single instruction beyond that check runs (the ``CostTrace``
-zero-overhead contract).
+The orchestrator narrates each lifecycle step once, through its
+narrator ``FleetOrchestrator._note``, from the closed vocabulary
+:data:`repro.fleet.vehicle.LIFECYCLE_STEPS`.  With an observer attached
+the narrator hands every step to :meth:`FleetInstrumentation.on`, which
+runs the step's handler: the method named ``_on_<step>`` (dashes become
+underscores; :data:`HANDLERS` lists them).  A step without one only
+writes the vehicle timeline.  Without an observer the narrator's one
+``is not None`` check is all that runs, and nothing in :mod:`repro.obs`
+is imported (the ``CostTrace`` zero-overhead contract).
 
-Digest-neutrality rules every hook obeys:
+Digest-neutrality rules every handler obeys:
 
-* **read-only** — hooks never mutate orchestrator, shard or vehicle
+* **read-only** — handlers never mutate orchestrator, shard or vehicle
   state, never draw from any DRBG, and never schedule simulator events
   (an extra event would renumber the heap's tie-breaking sequence and
   change the ordering of simultaneous events);
@@ -16,13 +21,15 @@ Digest-neutrality rules every hook obeys:
   only ever appears inside the clearly-marked ``wall`` annotations the
   deterministic views strip;
 * **synchronous heartbeats** — progress beats are emitted from inside
-  record/done hooks when sim-time crosses the next boundary, *not* from
-  scheduled timers, for the same heap-sequence reason.
+  the record/done handlers when sim-time crosses the next boundary,
+  *not* from scheduled timers, for the same heap-sequence reason.
 """
 
 from __future__ import annotations
 
-__all__ = ["FleetInstrumentation", "count_injections"]
+__all__ = ["FleetInstrumentation", "HANDLERS", "count_injections"]
+
+_RUN = ("run", None)
 
 
 def count_injections(metrics, injection_stats) -> None:
@@ -35,56 +42,89 @@ def count_injections(metrics, injection_stats) -> None:
 
 
 class FleetInstrumentation:
-    """Tracks span ids per fleet entity and feeds the observer.
+    """Observes one orchestrator run's lifecycle steps.
 
-    One instance per orchestrator run.  Span bookkeeping is keyed by
-    vehicle index / shard index / V2V pair, mirroring the orchestrator's
-    own single-flight invariants (one establishment, one migration, one
-    re-enrollment in flight per vehicle at a time).
+    Open span ids are keyed by ``(category, entity)``: the run (entity
+    ``None``), a shard index, a vehicle index or a V2V pair.  One key per
+    category and entity mirrors the orchestrator's own single-flight
+    invariants (one establishment, one migration, one re-enrollment in
+    flight per vehicle at a time).
     """
 
     def __init__(self, observer) -> None:
         self.obs = observer
-        self._run_span: int | None = None
-        self._shard_spans: dict = {}
-        self._vehicle_spans: dict = {}
-        self._enroll_spans: dict = {}
-        self._establish_spans: dict = {}
-        self._migrate_spans: dict = {}
-        self._re_enroll_spans: dict = {}
-        self._v2v_spans: dict = {}
+        self.metrics = observer.metrics
+        self._spans: dict = {}
         self._vehicles_done = 0
         self._records = 0
         self._next_beat_ms = 0.0
 
+    def on(self, step, orch, vehicle, data) -> None:
+        """Observe one narrated lifecycle step."""
+        handler = HANDLERS.get(step)
+        if handler is not None:
+            handler(self, orch, vehicle, **data)
+
+    # -- span bookkeeping ---------------------------------------------------
+
+    def _begin(self, orch, key, name, parent, **attrs) -> None:
+        """Open the span of ``key`` (category, entity) at sim-time now."""
+        self._spans[key] = self.obs.spans.begin(
+            name, key[0], orch.sim.now, parent=parent, **attrs
+        )
+
+    def _child(self, orch, vehicle, category, **attrs) -> None:
+        """Open ``vehicle``'s ``category`` span under its lifecycle span."""
+        self._begin(
+            orch, (category, vehicle.index), f"{vehicle.name}:{category}",
+            self._spans.get(("vehicle", vehicle.index)),
+            vehicle=vehicle.index, **attrs,
+        )
+
+    def _end(self, orch, key, **attrs) -> None:
+        """Close the open span of ``key`` at sim-time now."""
+        self.obs.spans.end(self._spans.pop(key), orch.sim.now, **attrs)
+
+    def _mark(self, orch, name, category, parent_key, **attrs) -> None:
+        """Record a zero-duration event under the span of ``parent_key``."""
+        self.obs.spans.event(
+            name, category, orch.sim.now,
+            parent=self._spans.get(parent_key), **attrs,
+        )
+
+    def _mark_vehicle(self, orch, vehicle, what, category, **attrs) -> None:
+        self._mark(
+            orch, f"{vehicle.name}:{what}", category,
+            ("vehicle", vehicle.index), vehicle=vehicle.index, **attrs,
+        )
+
+    def _mark_shard(self, orch, shard, what, category, **attrs) -> None:
+        self._mark(
+            orch, f"shard{shard.index}:{what}", category,
+            ("shard", shard.index), shard=shard.index, **attrs,
+        )
+
     # -- run lifecycle ------------------------------------------------------
 
-    def run_started(self, orch) -> None:
+    def _on_run_started(self, orch, vehicle) -> None:
         """Open the run span and one span per gateway shard."""
-        spans = self.obs.spans
-        self._run_span = spans.begin(
-            "fleet",
-            "run",
-            orch.sim.now,
-            n_vehicles=orch.config.n_vehicles,
-            shards=orch.config.shards,
-            scenario=(
-                orch.scenario.name if orch.scenario is not None else ""
-            ),
+        config = orch.config
+        self._begin(
+            orch, _RUN, "fleet", None, n_vehicles=config.n_vehicles,
+            shards=config.shards,
+            scenario=orch.scenario.name if orch.scenario is not None else "",
         )
         for shard in orch.shards:
-            self._shard_spans[shard.index] = spans.begin(
-                f"shard{shard.index}",
-                "shard",
-                orch.sim.now,
-                parent=self._run_span,
-                shard=shard.index,
+            self._begin(
+                orch, ("shard", shard.index), f"shard{shard.index}",
+                self._spans[_RUN], shard=shard.index,
             )
 
-    def run_finished(self, orch, stats) -> None:
+    def _on_run_finished(self, orch, vehicle, stats) -> None:
         """End a run without workers: its one partition, tallies, meta."""
-        self.partition_finished(orch)
-        count_injections(self.obs.metrics, stats.injection_stats)
+        self._on_partition_finished(orch, vehicle)
+        count_injections(self.metrics, stats.injection_stats)
+        config = orch.config
         self.obs.meta.update(
             {
                 "run": (
@@ -93,14 +133,14 @@ class FleetInstrumentation:
                     else "fleet"
                 ),
                 "sim_end_ms": orch.sim.now,
-                "backend": orch.config.backend,
-                "n_vehicles": orch.config.n_vehicles,
-                "shards": orch.config.shards,
+                "backend": config.backend,
+                "n_vehicles": config.n_vehicles,
+                "shards": config.shards,
                 "digest": stats.digest(),
             }
         )
 
-    def partition_finished(self, orch) -> None:
+    def _on_partition_finished(self, orch, vehicle) -> None:
         """Close shard + run spans and emit the final heartbeat.
 
         A worker partition (:mod:`repro.fleet.parallel`) ends its
@@ -109,329 +149,223 @@ class FleetInstrumentation:
         the run meta are emitted by the *parent* from the merged result.
         Spans stay worker-local.
         """
-        spans = self.obs.spans
-        now = orch.sim.now
         for shard in orch.shards:
-            spans.end(
-                self._shard_spans.pop(shard.index),
-                now,
-                enrollments=shard.enrollments,
-                sessions=shard.sessions_established,
-                batches=shard.batches,
+            self._end(
+                orch, ("shard", shard.index), enrollments=shard.enrollments,
+                sessions=shard.sessions_established, batches=shard.batches,
             )
-        spans.end(self._run_span, now)
-        self._run_span = None
+        self._end(orch, _RUN)
         self._heartbeat(orch)  # final beat, always emitted
 
     # -- enrollment ---------------------------------------------------------
 
-    def vehicle_arrived(self, orch, vehicle) -> None:
+    def _on_arrive(self, orch, vehicle) -> None:
         """Open the vehicle lifecycle + enrollment spans."""
-        spans = self.obs.spans
-        parent = spans.begin(
-            vehicle.name,
-            "vehicle",
-            orch.sim.now,
-            parent=self._run_span,
-            vehicle=vehicle.index,
+        self._begin(
+            orch, ("vehicle", vehicle.index), vehicle.name,
+            self._spans.get(_RUN), vehicle=vehicle.index,
         )
-        self._vehicle_spans[vehicle.index] = parent
-        self._enroll_spans[vehicle.index] = spans.begin(
-            f"{vehicle.name}:enroll",
-            "enroll",
-            orch.sim.now,
-            parent=parent,
-            vehicle=vehicle.index,
-        )
-        self.obs.metrics.counter("fleet.arrivals").inc()
+        self._child(orch, vehicle, "enroll")
+        self.metrics.counter("fleet.arrivals").inc()
 
-    def vehicle_enrolled(self, orch, vehicle, latency_ms) -> None:
+    def _on_enrolled(self, orch, vehicle, latency_ms) -> None:
         """Close the enrollment span; count + time the enrollment."""
-        self.obs.spans.end(
-            self._enroll_spans.pop(vehicle.index),
-            orch.sim.now,
-            shard=vehicle.shard,
-        )
-        self.obs.metrics.counter(
-            "fleet.enrollments", shard=vehicle.shard
-        ).inc()
-        self.obs.metrics.histogram(
-            "fleet.enrollment_latency_ms", shard=vehicle.shard
+        shard = vehicle.shard
+        self._end(orch, ("enroll", vehicle.index), shard=shard)
+        self.metrics.counter("fleet.enrollments", shard=shard).inc()
+        self.metrics.histogram(
+            "fleet.enrollment_latency_ms", shard=shard
         ).observe(latency_ms)
 
-    def ca_batch(
-        self, orch, shard, batch_size, attacks, start_ms, end_ms
+    def _on_ca_batch(
+        self, orch, vehicle, shard, batch, attacks, start_ms, end_ms
     ) -> None:
         """Record one CA issuance batch span + its counters."""
-        spans = self.obs.spans
-        span_id = spans.begin(
-            f"shard{shard.index}:issue",
-            "ca-batch",
-            start_ms,
-            parent=self._shard_spans.get(shard.index),
-            shard=shard.index,
-            batch=batch_size,
-            attacks=attacks,
+        index = shard.index
+        span_id = self.obs.spans.begin(
+            f"shard{index}:issue", "ca-batch", start_ms,
+            parent=self._spans.get(("shard", index)), shard=index,
+            batch=batch, attacks=attacks,
         )
-        spans.end(span_id, end_ms)
-        metrics = self.obs.metrics
-        metrics.counter("fleet.ca_batches", shard=shard.index).inc()
-        metrics.counter(
-            "fleet.ca_batched_requests", shard=shard.index
-        ).inc(batch_size)
-        metrics.gauge("fleet.ca_max_batch", shard=shard.index).record(
-            batch_size
+        self.obs.spans.end(span_id, end_ms)
+        metrics = self.metrics
+        metrics.counter("fleet.ca_batches", shard=index).inc()
+        metrics.counter("fleet.ca_batched_requests", shard=index).inc(batch)
+        metrics.gauge("fleet.ca_max_batch", shard=index).record(batch)
+        metrics.histogram("fleet.ca_batch_service_ms", shard=index).observe(
+            end_ms - start_ms
         )
-        metrics.histogram(
-            "fleet.ca_batch_service_ms", shard=shard.index
-        ).observe(end_ms - start_ms)
 
-    def queue_wait(self, orch, shard, wait_ms) -> None:
+    def _on_queue_wait(self, orch, vehicle, shard, wait_ms) -> None:
         """Record one legit request's CA queue wait."""
-        self.obs.metrics.histogram(
+        self.metrics.histogram(
             "fleet.ca_queue_wait_ms", shard=shard.index
         ).observe(wait_ms)
 
     # -- sessions -----------------------------------------------------------
 
-    def establish_started(self, orch, vehicle, shard) -> None:
+    def _on_establish(self, orch, vehicle) -> None:
         """Open the session-establishment span."""
-        self._establish_spans[vehicle.index] = self.obs.spans.begin(
-            f"{vehicle.name}:establish",
-            "establish",
-            orch.sim.now,
-            parent=self._vehicle_spans.get(vehicle.index),
-            vehicle=vehicle.index,
-            shard=shard.index,
-        )
+        self._child(orch, vehicle, "establish", shard=vehicle.shard)
 
-    def establish_finished(
-        self, orch, vehicle, shard, latency_ms, generation
-    ) -> None:
+    def _on_established(self, orch, vehicle, shard, latency_ms) -> None:
         """Close the establishment span; count + time the session."""
-        self.obs.spans.end(
-            self._establish_spans.pop(vehicle.index),
-            orch.sim.now,
-            generation=generation,
+        self._end(
+            orch, ("establish", vehicle.index), generation=vehicle.generation
         )
-        metrics = self.obs.metrics
-        metrics.counter("fleet.sessions", shard=shard.index).inc()
-        metrics.histogram(
+        self.metrics.counter("fleet.sessions", shard=shard.index).inc()
+        self.metrics.histogram(
             "fleet.establishment_latency_ms", shard=shard.index
         ).observe(latency_ms)
 
-    def rekey(self, orch, vehicle, shard) -> None:
+    def _on_rekey(self, orch, vehicle) -> None:
         """Mark a re-key event and count it."""
-        self.obs.spans.event(
-            f"{vehicle.name}:rekey",
-            "rekey",
-            orch.sim.now,
-            parent=self._vehicle_spans.get(vehicle.index),
-            vehicle=vehicle.index,
-            shard=shard.index,
-            records=vehicle.records_sent,
+        shard = vehicle.shard
+        records = vehicle.records_sent
+        self._mark_vehicle(
+            orch, vehicle, "rekey", "rekey", shard=shard, records=records
         )
-        self.obs.metrics.counter("fleet.rekeys", shard=shard.index).inc()
+        self.metrics.counter("fleet.rekeys", shard=shard).inc()
 
-    def record_sent(self, orch, vehicle, shard, record_bytes) -> None:
+    def _on_record(self, orch, vehicle, record_bytes) -> None:
         """Count one application record (and maybe heartbeat)."""
-        metrics = self.obs.metrics
-        metrics.counter("fleet.records_sent", shard=shard.index).inc()
-        metrics.counter("fleet.record_bytes", shard=shard.index).inc(
+        shard = vehicle.shard
+        self.metrics.counter("fleet.records_sent", shard=shard).inc()
+        self.metrics.counter("fleet.record_bytes", shard=shard).inc(
             record_bytes
         )
         self._records += 1
         self._maybe_heartbeat(orch)
 
-    def vehicle_done(self, orch, vehicle) -> None:
+    def _on_done(self, orch, vehicle) -> None:
         """Close the vehicle lifecycle span; heartbeat."""
+        # The id stays in _spans as a parent: the vehicle's V2V pair can
+        # still hand it over or re-enroll it after its gateway traffic.
         self.obs.spans.end(
-            self._vehicle_spans[vehicle.index],
-            orch.sim.now,
+            self._spans[("vehicle", vehicle.index)], orch.sim.now,
             records=vehicle.records_sent,
         )
-        self.obs.metrics.counter("fleet.vehicles_done").inc()
+        self.metrics.counter("fleet.vehicles_done").inc()
         self._vehicles_done += 1
         self._maybe_heartbeat(orch)
 
     # -- failover / churn ---------------------------------------------------
 
-    def shard_failed(self, orch, shard, requeued) -> None:
+    def _on_shard_failed(self, orch, vehicle, shard, requeued) -> None:
         """Mark the failover event and count requeued vehicles."""
-        self.obs.spans.event(
-            f"shard{shard.index}:failed",
-            "failover",
-            orch.sim.now,
-            parent=self._shard_spans.get(shard.index),
-            shard=shard.index,
-            requeued=requeued,
-        )
-        self.obs.metrics.counter(
-            "fleet.shard_failures", shard=shard.index
-        ).inc()
+        self._mark_shard(orch, shard, "failed", "failover", requeued=requeued)
+        self.metrics.counter("fleet.shard_failures", shard=shard.index).inc()
 
-    def handover(self, orch, vehicle, old_shard, new_shard) -> None:
-        """Count one failover handover."""
-        self.obs.spans.event(
-            f"{vehicle.name}:handover",
-            "failover",
-            orch.sim.now,
-            parent=self._vehicle_spans.get(vehicle.index),
-            vehicle=vehicle.index,
-            from_shard=old_shard.index,
-            to_shard=new_shard.index,
+    def _on_handover(self, orch, vehicle, old, adopter) -> None:
+        """Mark and count one move of a vehicle off a dead shard."""
+        self._mark_vehicle(
+            orch, vehicle, "handover", "failover", from_shard=old.index,
+            to_shard=adopter.index,
         )
-        self.obs.metrics.counter("fleet.handovers").inc()
+        self.metrics.counter("fleet.handovers").inc()
 
-    def rejoin(self, orch, shard) -> None:
+    _on_requeue = _on_handover
+
+    def _on_rejoin(self, orch, vehicle, shard) -> None:
         """Mark the shard-rejoin event and count it."""
-        self.obs.spans.event(
-            f"shard{shard.index}:rejoin",
-            "rejoin",
-            orch.sim.now,
-            parent=self._shard_spans.get(shard.index),
-            shard=shard.index,
-        )
-        self.obs.metrics.counter(
-            "fleet.rejoins", shard=shard.index
-        ).inc()
+        self._mark_shard(orch, shard, "rejoin", "rejoin")
+        self.metrics.counter("fleet.rejoins", shard=shard.index).inc()
 
-    def migrate_started(self, orch, vehicle, old_shard, target) -> None:
+    def _on_migrate(self, orch, vehicle, old, target) -> None:
         """Open the live-migration span; tally the per-shard flow."""
-        self._migrate_spans[vehicle.index] = self.obs.spans.begin(
-            f"{vehicle.name}:migrate",
-            "migrate",
-            orch.sim.now,
-            parent=self._vehicle_spans.get(vehicle.index),
-            vehicle=vehicle.index,
-            from_shard=old_shard.index,
+        self._child(
+            orch, vehicle, "migrate", from_shard=old.index,
             to_shard=target.index,
         )
         # Per-shard flow accounting: tracelint's shard-conservation
         # rule checks Σ migrations_in == Σ migrations_out (== the
         # run-level fleet.migrations counter).
-        metrics = self.obs.metrics
-        metrics.counter(
-            "fleet.migrations_out", shard=old_shard.index
-        ).inc()
-        metrics.counter(
-            "fleet.migrations_in", shard=target.index
-        ).inc()
+        self.metrics.counter("fleet.migrations_out", shard=old.index).inc()
+        self.metrics.counter("fleet.migrations_in", shard=target.index).inc()
 
-    def migrate_finished(self, orch, vehicle, latency_ms) -> None:
+    def _on_migrated(self, orch, vehicle, latency_ms) -> None:
         """Close the migration span; count + time it."""
-        self.obs.spans.end(
-            self._migrate_spans.pop(vehicle.index), orch.sim.now
+        self._end(orch, ("migrate", vehicle.index))
+        self.metrics.counter("fleet.migrations").inc()
+        self.metrics.histogram("fleet.migration_latency_ms").observe(
+            latency_ms
         )
-        metrics = self.obs.metrics
-        metrics.counter("fleet.migrations").inc()
-        metrics.histogram("fleet.migration_latency_ms").observe(latency_ms)
 
-    def re_enroll_started(self, orch, vehicle, shard, reason) -> None:
+    def _on_re_enroll(self, orch, vehicle, shard, reason) -> None:
         """Open the re-enrollment span."""
-        self._re_enroll_spans[vehicle.index] = self.obs.spans.begin(
-            f"{vehicle.name}:re-enroll",
-            "re-enroll",
-            orch.sim.now,
-            parent=self._vehicle_spans.get(vehicle.index),
-            vehicle=vehicle.index,
-            shard=shard.index,
-            reason=reason,
+        self._child(
+            orch, vehicle, "re-enroll", shard=shard.index, reason=reason
         )
 
-    def re_enroll_finished(self, orch, vehicle) -> None:
+    def _on_re_enrolled(self, orch, vehicle) -> None:
         """Close the re-enrollment span and count it."""
-        self.obs.spans.end(
-            self._re_enroll_spans.pop(vehicle.index), orch.sim.now
-        )
-        self.obs.metrics.counter("fleet.re_enrollments").inc()
+        self._end(orch, ("re-enroll", vehicle.index))
+        self.metrics.counter("fleet.re_enrollments").inc()
 
-    def re_enroll_coalesced(self, orch, vehicle) -> None:
+    def _on_re_enroll_coalesced(self, orch, vehicle) -> None:
         """Count a re-enrollment coalesced into one in flight."""
-        self.obs.metrics.counter("fleet.re_enrollments_coalesced").inc()
+        self.metrics.counter("fleet.re_enrollments_coalesced").inc()
 
-    # -- policy decisions ----------------------------------------------------
+    def _on_policy(self, orch, vehicle, point, rule, target_shard) -> None:
+        """Mark one policy decision and count it per rule.
 
-    def policy_decision(
-        self, now_ms, point, rule, vehicle_index, target_shard
-    ) -> None:
-        """Mark one policy-engine decision and count it per rule.
-
-        Called from inside :meth:`repro.fleet.policy.PolicyEngine.decide`
-        (and from the manual :meth:`~repro.fleet.orchestrator
-        .FleetOrchestrator.migrate` API path, attributed to the pseudo
-        rule ``"api"``), so the signature carries the already-snapshotted
-        values rather than an orchestrator reference.  Tracelint's
+        Narrated by :meth:`repro.fleet.policy.PolicyEngine.decide`, whose
+        ``vehicle`` is the decision's ``VehicleView``, and by the manual
+        :meth:`~repro.fleet.orchestrator.FleetOrchestrator.migrate` API
+        path, attributed to the pseudo rule ``"api"``.  Tracelint's
         policy-balance rule checks these counters against the action
         counters they must equal (``policy.migrate`` decisions ==
         migrations in, ``policy.rekey`` decisions == re-keys).
         """
-        attrs = {"vehicle": vehicle_index, "rule": rule}
+        attrs = {"rule": rule}
         if target_shard is not None:
             attrs["to_shard"] = target_shard
-        self.obs.spans.event(
-            f"veh{vehicle_index:04d}:policy:{point}",
-            "policy",
-            now_ms,
-            parent=self._vehicle_spans.get(vehicle_index),
-            **attrs,
-        )
-        self.obs.metrics.counter(f"policy.{point}", rule=rule).inc()
+        self._mark_vehicle(orch, vehicle, f"policy:{point}", "policy", **attrs)
+        self.metrics.counter(f"policy.{point}", rule=rule).inc()
 
     # -- V2V ----------------------------------------------------------------
 
-    def v2v_started(self, orch, initiator, responder, rekey) -> None:
+    def _on_v2v_establish(self, orch, initiator, responder, rekey) -> None:
         """Open a V2V establishment span (parented to the run)."""
-        pair = (initiator.index, responder.index)
         # Parented to the run, not a vehicle: a V2V session outlives the
         # gateway lifecycle span of either endpoint.
-        self._v2v_spans[pair] = self.obs.spans.begin(
-            f"{initiator.name}<->{responder.name}:v2v",
-            "v2v",
-            orch.sim.now,
-            parent=self._run_span,
-            initiator=initiator.index,
-            responder=responder.index,
-            rekey=rekey,
+        self._begin(
+            orch, ("v2v", (initiator.index, responder.index)),
+            f"{initiator.name}<->{responder.name}:v2v", self._spans.get(_RUN),
+            initiator=initiator.index, responder=responder.index, rekey=rekey,
         )
 
-    def v2v_finished(
+    def _on_v2v_established(
         self, orch, initiator, responder, latency_ms, cross_shard
     ) -> None:
         """Close the V2V span; count + time the session."""
-        pair = (initiator.index, responder.index)
-        self.obs.spans.end(
-            self._v2v_spans.pop(pair),
-            orch.sim.now,
+        self._end(
+            orch, ("v2v", (initiator.index, responder.index)),
             cross_shard=cross_shard,
         )
-        metrics = self.obs.metrics
-        metrics.counter("fleet.v2v_sessions").inc()
-        metrics.histogram("fleet.v2v_latency_ms").observe(latency_ms)
+        self.metrics.counter("fleet.v2v_sessions").inc()
+        self.metrics.histogram("fleet.v2v_latency_ms").observe(latency_ms)
         if cross_shard:
-            metrics.counter("fleet.v2v_cross_shard").inc()
+            self.metrics.counter("fleet.v2v_cross_shard").inc()
 
-    def v2v_record(self, orch, initiator, responder) -> None:
+    def _on_v2v_record(self, orch, initiator) -> None:
         """Count one V2V application record."""
-        self.obs.metrics.counter("fleet.v2v_records_sent").inc()
+        self.metrics.counter("fleet.v2v_records_sent").inc()
 
     # -- adversarial injections ---------------------------------------------
 
-    def injection_ran(self, orch, index, kind, log) -> None:
-        # Span event only: CA-flood rejections are tallied later, when
-        # the flooded queue drains through _pump_ca, so the final
-        # per-kind counters come from the final InjectionStats
-        # (count_injections).
-        """Mark an adversarial injection dispatch event."""
-        self.obs.spans.event(
-            f"injection{index}:{kind}",
-            "injection",
-            orch.sim.now,
-            parent=self._run_span,
-            kind=kind,
-            attempts=log["attempts"],
-            rejected=log["rejected"],
-            succeeded=log["succeeded"],
+    def _on_injection(self, orch, vehicle, index, log) -> None:
+        """Mark an adversarial injection dispatch event.
+
+        Span event only: CA-flood rejections are tallied later, when the
+        flooded queue drains through ``_pump_ca``, so the final per-kind
+        counters come from the final ``InjectionStats``
+        (:func:`count_injections`).
+        """
+        self._mark(
+            orch, f"injection{index}:{log['kind']}", "injection", _RUN,
+            kind=log["kind"], attempts=log["attempts"],
+            rejected=log["rejected"], succeeded=log["succeeded"],
         )
 
     # -- heartbeats ---------------------------------------------------------
@@ -439,9 +373,9 @@ class FleetInstrumentation:
     def _maybe_heartbeat(self, orch) -> None:
         """Emit a beat when sim-time crossed the next boundary.
 
-        Called synchronously from record/done hooks — never scheduled —
-        so the simulator's event-sequence numbering (and with it every
-        golden digest) is untouched.
+        Called synchronously from the record/done handlers — never
+        scheduled — so the simulator's event-sequence numbering (and
+        with it every golden digest) is untouched.
         """
         if orch.sim.now < self._next_beat_ms:
             return
@@ -455,3 +389,12 @@ class FleetInstrumentation:
             vehicles_total=orch.config.n_vehicles,
             records_sent=self._records,
         )
+
+
+#: Lifecycle step -> its :class:`FleetInstrumentation` handler, called as
+#: ``handler(instrumentation, orch, vehicle, **data)``.
+HANDLERS = {
+    name[len("_on_"):].replace("_", "-"): method
+    for name, method in vars(FleetInstrumentation).items()
+    if name.startswith("_on_")
+}

@@ -277,6 +277,40 @@ class TestExplicitMigrateApi:
         assert [e.kind for e in vehicle.events].count("done") == 1
         assert [s.active_vehicles for s in orchestrator.shards] == [0, 0]
 
+    def test_re_enrollment_requeued_off_a_dead_shard_is_observed(self):
+        # Shard 2 dies while the migration's re-enroll request is being
+        # computed, so the request is requeued to a survivor.  The stats,
+        # the observer and the timeline each book that one handover.
+        config = _topology_config(
+            n_vehicles=6,
+            seed=b"churn-explicit",
+            records_per_vehicle=40,
+            max_records=100,
+            send_interval_ms=25.0,
+            shards=3,
+            shard_fail_at_ms=4_201.0,
+            fail_shard=2,
+        )
+        obs = Observer()
+        orchestrator = FleetOrchestrator(config, obs=obs)
+        vehicle = orchestrator.vehicles[0]
+        orchestrator.sim.schedule_at(
+            4_200.0, lambda: orchestrator.migrate(vehicle, 2)
+        )
+        stats = orchestrator.run().stats
+        requeues = [e for e in vehicle.events if e.kind == "requeue"]
+        assert [(round(e.time_ms, 3), e.detail) for e in requeues] == [
+            (4497.432, "shard 2 -> shard 0")
+        ]
+        assert stats.handovers == 1
+        assert obs.metrics.snapshot().counter_total("fleet.handovers") == 1
+        events = [
+            span
+            for span in obs.spans.finished()
+            if span.name == "veh0000:handover"
+        ]
+        assert len(events) == 1
+
 
 class TestGatewayRejoin:
     @pytest.fixture(scope="class")
