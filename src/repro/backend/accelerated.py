@@ -17,9 +17,10 @@ emitting **exactly** the trace events the reference backend would have:
 * EC scalar multiplication dispatches to
   :class:`repro.backend.ec_accelerated.AcceleratedEc` — OpenSSL point
   math per curve where the local build supports it, a wide pure-Python
-  affine-window comb otherwise.  Trace events stay with the callers in
-  :mod:`repro.ec.scalarmult`, so EC accounting is backend-invariant by
-  construction.
+  affine-window comb otherwise — and ECDSA verification's
+  ``u*G + v*Q`` check is one OpenSSL ECDSA verify.  Trace events stay
+  with the callers in :mod:`repro.ec.scalarmult`, so EC accounting is
+  backend-invariant by construction.
 
 Because the trace streams are identical and every primitive is
 deterministic, fleet digests, hardware pricing and energy accounting are
@@ -322,6 +323,21 @@ class AcceleratedBackend(CryptoBackend):
     def ec_mul_double_batch(self, curve, terms: list) -> list:
         """Batched ``u*P + v*Q`` terms (``None`` = degenerate term)."""
         return self._ec.mul_double_batch(curve, terms)
+
+    def ec_mul_double_check(self, curve, terms: list) -> list:
+        """One OpenSSL ECDSA verification per term where it has an answer.
+
+        The terms it has none for go through the default path together.
+        """
+        answers = self._ec.mul_double_check(curve, terms)
+        rest = [term for term, answer in zip(terms, answers) if answer is None]
+        if rest:
+            fallback = iter(super().ec_mul_double_check(curve, rest))
+            answers = [
+                next(fallback) if answer is None else answer
+                for answer in answers
+            ]
+        return answers
 
     def describe(self) -> dict:
         """Introspection for benchmarks and docs."""

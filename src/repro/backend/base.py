@@ -212,6 +212,24 @@ class CryptoBackend:
         ]
         return self.ec_normalize_batch(curve, jacs)
 
+    def ec_mul_double_check(self, curve, terms: list) -> list:
+        """Whether each ``u*G + v*Q`` is finite with ``x mod n == r``.
+
+        ``terms`` holds non-degenerate ``(u, v, q_point, r)`` tuples
+        already reduced and validated by the caller; the answer is one
+        bool per term, so no point leaves the backend.  The default
+        computes the points through :meth:`ec_mul_double_batch` and
+        compares their ``x`` coordinates.
+        """
+        generator = curve.generator
+        points = self.ec_mul_double_batch(
+            curve, [(u, generator, v, q_point) for u, v, q_point, _ in terms]
+        )
+        return [
+            not point.is_infinity and point.x % curve.n == r
+            for point, (_, _, _, r) in zip(points, terms)
+        ]
+
     def ec_normalize_batch(self, curve, jacs: list) -> list:
         """Jacobian→affine conversion of a whole batch (shared inversion)."""
         from ..ec.point import normalize_batch

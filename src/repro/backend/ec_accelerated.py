@@ -19,7 +19,15 @@ Two speed tiers, selected per curve with graceful fallback:
      root, no sign ambiguity.  ``k in {1, n-1}`` (where ``S`` would
      degenerate or ``x_R == x_P``) short-circuits to ``±P``.
    * ``u*P + v*Q`` decomposes into the two single multiplications above
-     plus one untraced affine addition.
+     plus one untraced affine addition;
+   * the yes/no check "is ``u*G + v*Q`` finite with ``x mod n == r``?"
+     is one ECDSA verification: with ``s' = r/v`` and ``e' = u*s'``
+     (mod ``n``), OpenSSL's verifier recomputes ``u1 = e'/s' = u`` and
+     ``u2 = r/s' = v`` and answers exactly that question.  No point
+     leaves OpenSSL, so there is nothing to re-validate; a wrong answer
+     on honest traffic would abort an establishment and break the
+     pinned digest of every run that verifies, so it cannot pass
+     silently either.
 
    Every result is rebuilt as a :class:`~repro.ec.point.Point`, whose
    constructor re-validates the curve equation — an incorrect C result
@@ -45,8 +53,17 @@ registered curve.
 from __future__ import annotations
 
 try:  # EC offload is optional; the pure-Python fallback covers its absence.
+    from cryptography.exceptions import InvalidSignature as _InvalidSignature
     from cryptography.hazmat.primitives.asymmetric import ec as _x_ec
+    from cryptography.hazmat.primitives.asymmetric.utils import (
+        Prehashed as _Prehashed,
+        encode_dss_signature as _encode_dss_signature,
+    )
+    from cryptography.hazmat.primitives.hashes import SHA512 as _SHA512
 
+    #: The verification scheme of :meth:`AcceleratedEc.mul_double_check`:
+    #: a 64-byte digest that OpenSSL truncates to the order's bit length.
+    _PREHASHED_ECDSA = _x_ec.ECDSA(_Prehashed(_SHA512()))
     OPENSSL_EC = True
 except ImportError:  # pragma: no cover - exercised via the fallback tests
     _x_ec = None
@@ -203,6 +220,36 @@ class AcceleratedEc:
         right = self._term(curve, v, q_point)
         return left._add_raw(right)
 
+    def mul_double_check(self, curve, terms: list) -> list:
+        """OpenSSL's answer to each ``(u, v, Q, r)`` check, or ``None``.
+
+        ``None`` marks a term OpenSSL cannot phrase as a signature —
+        ``v == 0``, ``Q`` at infinity or ``r`` outside ``[1, n-1]`` —
+        and every term on a curve it does not serve; the backend sends
+        those down the default path.
+        """
+        impl = self._curve_impl(curve)
+        if impl is None:
+            return [None] * len(terms)
+        n = curve.n
+        shift = 512 - n.bit_length()
+        answers = []
+        for u, v, q_point, r in terms:
+            if not v or q_point.is_infinity or not 0 < r < n:
+                answers.append(None)
+                continue
+            s = r * pow(v, -1, n) % n
+            digest = ((u * s % n) << shift).to_bytes(64, "big")
+            try:
+                self._public_key(impl, curve, q_point).verify(
+                    _encode_dss_signature(r, s), digest, _PREHASHED_ECDSA
+                )
+            except _InvalidSignature:
+                answers.append(False)
+            else:
+                answers.append(True)
+        return answers
+
     def _term(self, curve, k: int, point):
         """One side of a double multiplication (may be degenerate)."""
         from ..ec.point import Point
@@ -310,6 +357,7 @@ class AcceleratedEc:
             return (
                 "cryptography (OpenSSL scalar mult; ECDH x-coordinates +"
                 " Okeya-Sakurai y-recovery for arbitrary points;"
+                " ECDSA verify for the u*G + v*Q check;"
                 " wide-comb fallback for non-OpenSSL curves)"
             )
         return (

@@ -6,7 +6,8 @@ Public surface:
 * :class:`Point` with affine arithmetic and operator overloads,
 * scalar multiplication strategies (:func:`mul_base`, :func:`mul_point`,
   :func:`mul_double`, :func:`mul_ladder`) plus the batch-optimized
-  :func:`mul_base_batch`,
+  :func:`mul_base_batch` and :func:`mul_double_batch`, and the
+  ECDSA-verification check :func:`mul_double_check`,
 * SEC 1 point encoding (:func:`encode_point`, :func:`decode_point`),
 * modular helpers (:func:`inverse_mod`, :func:`sqrt_mod`,
   :func:`batch_inverse`),
@@ -50,6 +51,7 @@ from .scalarmult import (
     mul_base_batch,
     mul_double,
     mul_double_batch,
+    mul_double_check,
     mul_ladder,
     mul_point,
     precompute_point,
@@ -82,6 +84,7 @@ __all__ = [
     "mul_base_batch",
     "mul_double",
     "mul_double_batch",
+    "mul_double_check",
     "mul_ladder",
     "mul_point",
     "normalize_batch",

@@ -13,7 +13,9 @@ offers:
   ``u*P + v*Q`` used by ECDSA verification and by the fused
   reconstruct-and-derive step of the SCIANC protocol (traces
   ``ec.mul_double``); :func:`mul_double_batch` amortizes the final
-  normalization across many terms (batch ECDSA verification rides on it).
+  normalization across many terms, and :func:`mul_double_check` asks
+  only whether the sum is finite with ``x mod n == r`` (ECDSA
+  verification's last step, so a backend may answer without the point).
 * :func:`mul_ladder` — a uniform double-and-add-always ladder approximating
   the constant-time behaviour of hardened embedded code
   (traces ``ec.mul_point``; same price class).
@@ -33,14 +35,14 @@ Since the EC extension of the backend seam, the public functions here are
 *dispatch wrappers*: they own scalar reduction, degenerate-case collapsing
 and the ``ec.mul_*`` trace events, then hand the non-degenerate core to
 :func:`repro.backend.get_backend` (``ec_mul_base`` / ``ec_mul`` /
-``ec_mul_double`` and their batch forms).  The default backend methods
-call straight back into the ``_mul_*`` reference cores below, so the
-``reference`` backend runs the exact seed code path; ``accelerated``
-substitutes OpenSSL point math with bit-identical results (affine
-coordinates of a group element are unique) and — because no backend may
-record trace events — bit-identical accounting.  :func:`mul_ladder` stays
-backend-independent on purpose: it is the uniform-schedule oracle the
-tests cross-check every backend against.
+``ec_mul_double``, their batch forms and ``ec_mul_double_check``).  The
+default backend methods call straight back into the ``_mul_*`` reference
+cores below, so the ``reference`` backend runs the exact seed code path;
+``accelerated`` substitutes OpenSSL point math with bit-identical results
+(affine coordinates of a group element are unique) and — because no
+backend may record trace events — bit-identical accounting.
+:func:`mul_ladder` stays backend-independent on purpose: it is the
+uniform-schedule oracle the tests cross-check every backend against.
 """
 
 from __future__ import annotations
@@ -340,8 +342,8 @@ def mul_double_batch(terms, curve: Curve) -> list[Point]:
 
     Evaluates each term in Jacobian coordinates and converts the whole
     batch to affine through a single Montgomery-trick inversion — the
-    batched counterpart of :func:`mul_double`, and the EC substrate of
-    batch ECDSA verification.  Records one ``ec.mul_double`` event per
+    batched counterpart of :func:`mul_double`, and the reference path of
+    :func:`mul_double_check`.  Records one ``ec.mul_double`` event per
     non-degenerate term, exactly like the scalar-at-a-time path, so cost
     traces are unchanged.
     """
@@ -361,6 +363,39 @@ def mul_double_batch(terms, curve: Curve) -> list[Point]:
         trace.record("ec.mul_double")
         reduced.append((u, p_point, v, q_point))
     return get_backend().ec_mul_double_batch(curve, reduced)
+
+
+def mul_double_check(terms, curve: Curve) -> list[bool]:
+    """Whether each ``u*G + v*Q`` is finite with ``x mod n == r``.
+
+    Args:
+        terms: iterable of ``(u, v, q_point, r)`` tuples.
+        curve: common domain parameters (every ``q_point`` must live on
+            it; ``G`` is its generator).
+
+    The last step of ECDSA verification as one yes/no question, so a
+    backend may answer it without producing the point.  Scalars are
+    reduced and degenerate terms answer ``False`` here, exactly like
+    :func:`mul_double_batch`, with one ``ec.mul_double`` event per
+    non-degenerate term; only those reach
+    :meth:`~repro.backend.CryptoBackend.ec_mul_double_check`.
+    """
+    reduced: list[tuple[int, int, Point, int] | None] = []
+    for u, v, q_point, r in terms:
+        if q_point.curve != curve:
+            raise CurveError("mul_double_check requires points on one curve")
+        u %= curve.n
+        v %= curve.n
+        if u == 0 and (v == 0 or q_point.is_infinity):
+            reduced.append(None)
+            continue
+        trace.record("ec.mul_double")
+        reduced.append((u, v, q_point, r))
+    live = [term for term in reduced if term is not None]
+    answers = iter(
+        get_backend().ec_mul_double_check(curve, live) if live else ()
+    )
+    return [term is not None and next(answers) for term in reduced]
 
 
 def mul_ladder(scalar: int, point: Point) -> Point:

@@ -8,11 +8,14 @@ every embedded ECC library applies.
 Trace events: ``ecdsa.sign`` / ``ecdsa.verify`` wrap the scalar
 multiplications recorded by the EC layer.
 
-Backend note: every scalar multiplication here (``mul_base`` in signing,
-``mul_double``/``mul_double_batch`` in verification) dispatches through
-the :mod:`repro.backend` EC seam, so signatures and verifications run on
-OpenSSL point math under the accelerated backend with bit-identical
-bytes and traces — nothing in this module is backend-aware.
+Backend note: every scalar multiplication here dispatches through the
+:mod:`repro.backend` EC seam — ``mul_base`` in signing, and in
+verification :func:`~repro.ec.mul_double_check`, which asks only whether
+``u1*G + u2*Q`` is finite with ``x mod n == r``.  The reference backend
+computes the point and compares; the accelerated backend answers with
+one OpenSSL ECDSA verification per signature.  Bytes, booleans and
+traces are identical either way, and nothing in this module is
+backend-aware.
 """
 
 from __future__ import annotations
@@ -20,14 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import trace
-from ..ec import (
-    Curve,
-    Point,
-    inverse_mod,
-    mul_base,
-    mul_double,
-    mul_double_batch,
-)
+from ..ec import Curve, Point, inverse_mod, mul_base, mul_double_check
 from ..errors import SignatureError
 from ..backend import HASH_INFO
 from ..primitives import new_hash
@@ -128,45 +124,34 @@ def verify(
     signature: Signature,
     hash_name: str = "sha256",
 ) -> bool:
-    """Verify an ECDSA signature; returns True/False (never raises on bad sig)."""
-    curve = public_key.curve
-    if public_key.is_infinity:
-        return False
-    if signature.curve.name != curve.name:
-        return False
-    trace.record("ecdsa.verify")
-    message_hash = new_hash(hash_name, message).digest()
-    e = _hash_to_int(message_hash, curve.n)
-    try:
-        s_inv = inverse_mod(signature.s, curve.n)
-    except Exception:
-        return False
-    u1 = (e * s_inv) % curve.n
-    u2 = (signature.r * s_inv) % curve.n
-    point = mul_double(u1, curve.generator, u2, public_key)
-    if point.is_infinity:
-        return False
-    return point.x % curve.n == signature.r
+    """Verify an ECDSA signature; returns True/False (never raises on bad sig).
+
+    A batch of one: :func:`verify_batch` records the same events in the
+    same order as a dedicated single-item path would.
+    """
+    return verify_batch([(public_key, message, signature)], hash_name)[0]
 
 
 def verify_batch(
     items,
     hash_name: str = "sha256",
 ) -> list[bool]:
-    """Verify many ECDSA signatures with one shared Jacobian normalization.
+    """Verify many ECDSA signatures through one EC check call.
 
     Args:
         items: iterable of ``(public_key, message, signature)`` triples;
             all public keys must live on one curve.
         hash_name: digest for every message.
 
-    Each verification still computes its own ``u1*G + u2*Q`` double
-    multiplication — the asymptotic cost is unchanged and one
-    ``ecdsa.verify`` event is recorded per item, exactly like calling
-    :func:`verify` in a loop — but the per-item Jacobian→affine inversion
-    collapses into a single Montgomery-trick :func:`~repro.ec.batch_inverse`
-    via :func:`~repro.ec.mul_double_batch`.  This is the CA-side win when a
-    whole queue of enrollment-request signatures is authenticated at once.
+    Each verification still asks its own ``u1*G + u2*Q`` question — the
+    asymptotic cost is unchanged and one ``ecdsa.verify`` event is
+    recorded per item, exactly like calling :func:`verify` in a loop —
+    but all of them go to :func:`~repro.ec.mul_double_check` at once.
+    The reference backend shares one Montgomery-trick
+    :func:`~repro.ec.batch_inverse` across the batch; the accelerated
+    backend answers each item with one OpenSSL verification.  This is
+    the CA-side win when a whole queue of enrollment-request signatures
+    is authenticated at once.
 
     Returns a per-item list of booleans (malformed items verify False,
     mirroring :func:`verify`'s never-raises contract).
@@ -178,7 +163,7 @@ def verify_batch(
         raise SignatureError(f"unknown hash {hash_name!r}")
     results = [False] * len(items)
     terms = []
-    term_meta: list[tuple[int, Curve, int]] = []  # (item index, curve, r)
+    indices: list[int] = []
     curve_name: str | None = None
     for index, (public_key, message, signature) in enumerate(items):
         curve = public_key.curve
@@ -199,14 +184,12 @@ def verify_batch(
             continue
         u1 = (e * s_inv) % curve.n
         u2 = (signature.r * s_inv) % curve.n
-        terms.append((u1, curve.generator, u2, public_key))
-        term_meta.append((index, curve, signature.r))
-    if not terms:
-        return results
-    points = mul_double_batch(terms, term_meta[0][1])
-    for (index, curve, r), point in zip(term_meta, points):
-        if not point.is_infinity:
-            results[index] = point.x % curve.n == r
+        terms.append((u1, u2, public_key, signature.r))
+        indices.append(index)
+    if terms:
+        answers = mul_double_check(terms, terms[0][2].curve)
+        for index, answer in zip(indices, answers):
+            results[index] = answer
     return results
 
 

@@ -155,9 +155,9 @@ class CertificateAuthority:
 
         Requests carrying a proof-of-possession signature are
         authenticated first, all in one :func:`~repro.ecdsa.verify_batch`
-        pass that shares a single Jacobian normalization across the whole
-        queue; a failed proof aborts the burst before any ephemeral is
-        drawn, so a rejected batch leaves the CA state untouched.
+        pass over the whole queue; a failed proof aborts the burst before
+        any ephemeral is drawn, so a rejected batch leaves the CA state
+        untouched.
         """
         requests = list(requests)
         if validity_seconds <= 0:

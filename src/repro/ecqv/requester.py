@@ -20,7 +20,8 @@ from ..ecdsa import sign
 from ..errors import CertificateError
 from ..primitives import HmacDrbg
 from .ca import CertificateRequest, IssuedCertificate
-from .certificate import Certificate, cert_digest_scalar, reconstruct_public_key
+from .cache import KeyCache
+from .certificate import Certificate, cert_digest_scalar
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,29 @@ class EcqvCredential:
 
 
 class CertificateRequester:
-    """Stateful device-side ECQV issuance session."""
+    """Stateful device-side ECQV issuance session.
 
-    def __init__(self, curve: Curve, subject_id: bytes, rng: HmacDrbg) -> None:
+    Args:
+        curve: domain parameters.
+        subject_id: the device identity to certify.
+        rng: the device's DRBG.
+        key_cache: the deployment's :class:`~repro.ecqv.KeyCache`, so the
+            peer that later validates this certificate rebuilds the same
+            key from the cache; a fresh one by default.
+    """
+
+    def __init__(
+        self,
+        curve: Curve,
+        subject_id: bytes,
+        rng: HmacDrbg,
+        key_cache: KeyCache | None = None,
+    ) -> None:
         self.curve = curve
         self.subject_id = subject_id
         self._rng = rng
         self._k_u: int | None = None
+        self.key_cache = key_cache if key_cache is not None else KeyCache()
 
     def create_request(self, authenticate: bool = False) -> CertificateRequest:
         """Step 1: generate the ephemeral and the request point ``R_U``.
@@ -91,7 +108,7 @@ class CertificateRequester:
         private = (e * self._k_u + issued.private_reconstruction) % self.curve.n
         if private == 0:
             raise CertificateError("degenerate private key; re-run issuance")
-        public = reconstruct_public_key(cert, ca_public)
+        public = self.key_cache.reconstruct(cert, ca_public)
         if mul_base(private, self.curve) != public:
             raise CertificateError(
                 "key confirmation failed: reconstructed keys do not match"

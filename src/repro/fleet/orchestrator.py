@@ -693,6 +693,7 @@ class FleetOrchestrator:
             self.config.curve,
             vehicle.device_id,
             HmacDrbg(self.config.seed, personalization=personalization),
+            key_cache=self.topology.key_cache,
         )
         with trace.trace(f"{vehicle.name}:request") as cost:
             request = requester.create_request(

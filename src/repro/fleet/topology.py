@@ -158,8 +158,9 @@ class FleetTopology:
         total = config.shards
         curve = config.curve
         clock = lambda: DEFAULT_NOW  # noqa: E731
-        #: One key cache per fleet run: the trust store and every session
-        #: context of the run decode and rebuild peer keys through it.
+        #: One key cache per fleet run: the trust store, every session
+        #: context and every certificate requester of the run decode and
+        #: rebuild keys through it.
         self.key_cache = KeyCache()
         if total == 1:
             self.root_ca: CertificateAuthority | None = None
@@ -211,6 +212,7 @@ class FleetTopology:
             config.curve,
             device_id(gateway_name),
             HmacDrbg(config.seed, personalization=enroll_pers),
+            key_cache=self.key_cache,
         )
         gw_issued = ca.issue(
             gw_requester.create_request(

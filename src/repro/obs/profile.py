@@ -179,6 +179,13 @@ class ProfilingBackend:
             calls=len(terms),
         )
 
+    def ec_mul_double_check(self, curve, terms):
+        """Delegate the check under ``ec.mul_double``; ``len(terms)`` calls."""
+        return self._timed(
+            "ec.mul_double", self.inner.ec_mul_double_check, curve, terms,
+            calls=len(terms),
+        )
+
     def ec_normalize_batch(self, curve, jacs):
         """Delegate the batch; one timing, ``len(jacs)`` calls."""
         return self._timed(

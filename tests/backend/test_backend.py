@@ -263,6 +263,37 @@ class TestEcSurface:
         want = mul_base(12345, SECP256R1)
         assert (got.x, got.y) == (want.x, want.y)
 
+    def test_ec_check_answers_through_openssl_where_it_can(self):
+        # Served curves answer ordinary terms with an OpenSSL verification
+        # and leave the rest (None) to the default path, so the parity
+        # fuzz compares two different engines, not the fallback twice.
+        import dataclasses
+
+        from repro.backend.ec_accelerated import AcceleratedEc
+        from repro.ec import SECP256R1, Point, mul_base
+
+        curve = SECP256R1
+        q = mul_base(7, curve)
+        r = mul_base(3 + 5 * 7, curve).x % curve.n
+        engine = AcceleratedEc()
+        assert engine.mul_double_check(
+            curve,
+            [
+                (3, 5, q, r),
+                (3, 5, q, r % (curve.n - 1) + 1),
+                (3, 0, q, r),
+                (3, 5, Point.infinity(curve), r),
+                (3, 5, q, 0),
+                (3, 5, q, curve.n),
+            ],
+        ) == [True, False, None, None, None, None]
+        rogue = dataclasses.replace(curve, name="not-a-registry-curve")
+        rogue_q = mul_base(7, rogue)
+        assert engine.mul_double_check(rogue, [(3, 5, rogue_q, r)]) == [None]
+        assert AcceleratedBackend().ec_mul_double_check(
+            rogue, [(3, 5, rogue_q, r)]
+        ) == [True]
+
     def test_ec_fallback_when_cryptography_is_missing(self, monkeypatch):
         import repro.backend.ec_accelerated as ec_mod
         from repro.ec import SECP256R1, mul_base, mul_point

@@ -292,15 +292,56 @@ class TestAesParity:
 # Okeya-Sakurai y-recovery, and the k % n == 0 degeneracy the *callers*
 # must collapse before any backend sees it.
 
+import dataclasses  # noqa: E402
+import random  # noqa: E402
+
 import pytest  # noqa: E402  (section-local: the EC tests parametrize)
 
-from repro.ec import CURVES, encode_point, mul_base, mul_double, mul_point  # noqa: E402
+from repro.ec import (  # noqa: E402
+    CURVES,
+    SECP256R1,
+    Point,
+    encode_point,
+    mul_base,
+    mul_double,
+    mul_double_check,
+    mul_point,
+)
 from repro.ecdsa import Signature, sign, verify, verify_batch  # noqa: E402
 
 
 def _edge_scalars(curve):
     n = curve.n
     return [1, 2, n - 2, n - 1, n, n + 1]
+
+
+def assert_ordered_parity(fn):
+    """:func:`assert_parity` plus the events' first-seen order.
+
+    The cost model sums a trace's events in first-seen order, so a
+    backend that recorded the same counts in another order would still
+    change priced floats.
+    """
+    (ref_out, ref_events), (acc_out, acc_events) = (
+        _ordered_run(backend, fn) for backend in BACKENDS
+    )
+    assert ref_out == acc_out
+    assert ref_events == acc_events
+    return ref_out
+
+
+def _ordered_run(backend: str, fn):
+    with use_backend(backend):
+        with trace.trace(backend) as t:
+            out = fn()
+    return out, list(t.counts.items())
+
+
+#: Every registry curve, plus a copy of secp256r1 under a name OpenSSL
+#: does not serve, whose checks take the default path on both backends.
+_CHECK_CURVES = [CURVES[name] for name in sorted(CURVES)] + [
+    dataclasses.replace(SECP256R1, name="not-a-registry-curve")
+]
 
 
 class TestEcParity:
@@ -365,7 +406,8 @@ class TestEcParity:
                 assert verify(public, message, signature)
                 items.append((public, message, signature))
             # One deliberately corrupted item: parity must hold for the
-            # False lane too (it skips the double multiplication).
+            # False lane too (it still runs its double multiplication,
+            # whose x coordinate misses r).
             bad_sig = Signature(curve, items[0][2].r, (items[0][2].s + 1) % n or 1)
             items.append((items[0][0], items[0][1], bad_sig))
             results = verify_batch(items)
@@ -375,3 +417,75 @@ class TestEcParity:
             ) + bytes(results)
 
         assert_parity(scenario)
+
+    @pytest.mark.parametrize(
+        "curve", _CHECK_CURVES, ids=[curve.name for curve in _CHECK_CURVES]
+    )
+    def test_mul_double_check_edge_terms(self, curve):
+        n = curve.n
+        rng = random.Random(int.from_bytes(curve.name.encode(), "big"))
+        d = rng.randrange(2, n - 1)
+        with use_backend("reference"):
+            q = mul_base(d, curve)
+            terms, expected = [], []
+            for u in (0, 1, 2, n - 2, n - 1, rng.randrange(3, n - 2)):
+                for v in (1, 2, n - 1, rng.randrange(3, n - 2)):
+                    point = mul_double(u, curve.generator, v, q)
+                    x = point.x % n
+                    for r in (x, x + 1, x - 1):
+                        terms.append((u, v, q, r))
+                        expected.append(r == x)
+            at_infinity = Point.infinity(curve)
+            five_g = mul_base(5, curve).x % n
+            extra = [
+                # An infinite sum: u*G + v*Q = (n - d + d)*G.
+                ((n - d, 1, q, 1), False),
+                # The default path: v == 0, Q at infinity, r outside
+                # [1, n-1] (also when x mod n would match it).
+                ((5, 0, q, five_g), True),
+                ((5, 7, at_infinity, five_g), True),
+                ((5, 0, q, five_g + n), False),
+                ((5, 0, q, 0), False),
+                ((5, 1, q, n), False),
+                # Degenerate terms answer False without a backend call.
+                ((0, 0, q, 1), False),
+                ((n, 3, at_infinity, 1), False),
+            ]
+            terms += [term for term, _ in extra]
+            expected += [answer for _, answer in extra]
+
+        answers = assert_ordered_parity(lambda: mul_double_check(terms, curve))
+        assert answers == expected
+        # One term per call, the shape ``verify`` sends.
+        singles = assert_ordered_parity(
+            lambda: [mul_double_check([term], curve)[0] for term in terms]
+        )
+        assert singles == expected
+
+    @pytest.mark.parametrize(
+        "curve", _CHECK_CURVES, ids=[curve.name for curve in _CHECK_CURVES]
+    )
+    def test_verify_with_tampered_inputs(self, curve):
+        n = curve.n
+        with use_backend("reference"):
+            d = int.from_bytes(curve.name.encode(), "big") % (n - 1) + 1
+            public = mul_base(d, curve)
+            other = mul_base(d % (n - 1) + 1, curve)
+            message = b"tamper %s" % curve.name.encode()
+            signature = sign(curve, d, message)
+        bad_r = Signature(curve, signature.r % (n - 1) + 1, signature.s)
+        bad_s = Signature(curve, signature.r, signature.s % (n - 1) + 1)
+        items = [
+            (public, message, signature),
+            (public, message, bad_r),
+            (public, message, bad_s),
+            (public, message + b"!", signature),
+            (other, message, signature),
+        ]
+        expected = [True, False, False, False, False]
+
+        singles = assert_ordered_parity(
+            lambda: [verify(key, msg, sig) for key, msg, sig in items]
+        )
+        batch = assert_ordered_parity(lambda: verify_batch(items))
+        assert singles == batch == expected

@@ -6,15 +6,25 @@ second establishment on the peer keys come from the run's
 party's per-operation cost trace (counts and first-seen event order) is
 pinned to the same establishments run with a fresh cache each, under
 both backends, on a single-gateway link and on a cross-shard V2V pair
-that resolves its peer through the trust store.
+that resolves its peer through the trust store.  Certificate requesters
+share the run's cache too, so a peer's first STS run finds the key its
+owner rebuilt at reception.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import trace
 from repro.backend import use_backend
-from repro.ecqv import KeyCache, TrustStore, issue_credential
+from repro.ec import SECP256R1
+from repro.ecqv import (
+    CertificateRequester,
+    KeyCache,
+    TrustStore,
+    issue_credential,
+)
+from repro.ecqv import cache as cache_module
 from repro.fleet import FleetConfig, FleetOrchestrator
 from repro.fleet.topology import FleetTopology
 from repro.primitives import HmacDrbg
@@ -148,3 +158,97 @@ def test_each_run_owns_its_cache(monkeypatch, shards):
         assert shard.manager.context_factory().key_cache is caches[1]
     for vehicle in second.vehicles:
         assert vehicle.manager.context_factory().key_cache is caches[1]
+
+
+#: A run that takes failover, a mid-run gateway rejoin (which enrolls the
+#: reborn gateway), re-enrollments and cross-shard V2V links.
+_CHURN_CONFIG = FleetConfig(
+    n_vehicles=8,
+    seed=b"lifecycle-coverage",
+    records_per_vehicle=12,
+    max_records=6,
+    send_interval_ms=25.0,
+    arrival_spread_ms=15.0,
+    shards=2,
+    shard_fail_at_ms=312.0,
+    fail_shard=0,
+    shard_rejoin_at_ms=3000.0,
+    migrate_threshold=1,
+    v2v_fraction=0.5,
+    v2v_records=12,
+    backend="accelerated",
+)
+
+
+def _observed_run(monkeypatch, config):
+    """Trace scopes (in order), reconstructions and stats of one run."""
+    scopes: list = []
+    exit_scope = trace.trace.__exit__
+
+    def logging_exit(self, *exc_info):
+        exit_scope(self, *exc_info)
+        scopes.append((self._trace.label, list(self._trace.counts.items())))
+
+    reconstructions = [0]
+    reconstruct = cache_module.reconstruct_public_key
+
+    def counting_reconstruct(certificate, issuer_public):
+        reconstructions[0] += 1
+        return reconstruct(certificate, issuer_public)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trace.trace, "__exit__", logging_exit)
+        patch.setattr(
+            cache_module, "reconstruct_public_key", counting_reconstruct
+        )
+        result = FleetOrchestrator(config).run()
+    return scopes, reconstructions[0], result.stats
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        FleetConfig(
+            n_vehicles=4,
+            seed=b"requester-cache",
+            records_per_vehicle=2,
+            max_records=1,
+            arrival_spread_ms=10.0,
+            backend="accelerated",
+        ),
+        _CHURN_CONFIG,
+    ],
+    ids=["gateway", "churn-v2v"],
+)
+def test_requesters_share_the_run_cache(monkeypatch, config):
+    shared_scopes, shared, shared_stats = _observed_run(monkeypatch, config)
+    # The same run with a fresh cache in every requester.
+    init = CertificateRequester.__init__
+
+    def fresh_cache_init(self, curve, subject_id, rng, key_cache=None):
+        init(self, curve, subject_id, rng)
+
+    monkeypatch.setattr(CertificateRequester, "__init__", fresh_cache_init)
+    fresh_scopes, fresh, fresh_stats = _observed_run(monkeypatch, config)
+    # Every per-operation trace, receptions and STS runs included, is
+    # the one the fresh caches produce, in the same order.
+    labels = {label for label, _ in shared_scopes}
+    assert any(label.endswith(":reception") for label in labels)
+    assert any(label.startswith("sts:") for label in labels)
+    assert shared_scopes == fresh_scopes
+    assert shared_stats.digest() == fresh_stats.digest()
+    if config.shards == 1:
+        # Each certificate is rebuilt once, at reception, instead of
+        # again at its peer's first establishment.
+        assert 2 * shared == fresh
+    else:
+        assert shared_stats.rejoins == 1
+        assert shared < fresh
+
+
+def test_requester_without_a_cache_gets_its_own():
+    rng = HmacDrbg(b"requester-cache", personalization=b"own")
+    first = CertificateRequester(SECP256R1, b"\x01" * 16, rng)
+    second = CertificateRequester(SECP256R1, b"\x02" * 16, rng)
+    assert isinstance(first.key_cache, KeyCache)
+    assert first.key_cache is not second.key_cache

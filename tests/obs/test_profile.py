@@ -12,7 +12,8 @@ import dataclasses
 
 import pytest
 
-from repro.backend import available_backends, use_backend
+from repro.backend import CryptoBackend, available_backends, use_backend
+from repro.ec import SECP256R1, mul_base
 from repro.errors import ObsError
 from repro.fleet import FleetConfig, run_fleet
 from repro.obs import (
@@ -72,6 +73,36 @@ class TestProfilingBackend:
         with use_backend("reference") as inner:
             profiler = ProfilingBackend(inner)
         assert set(profiler.timings) == set(PRIMITIVE_CLASSES)
+
+    def test_forwards_every_backend_method(self):
+        # A method the wrapper lacks raises AttributeError at its first
+        # call through a profiled backend.
+        public = {
+            name
+            for name, member in vars(CryptoBackend).items()
+            if callable(member) and not name.startswith("_")
+        }
+        assert "ec_mul_double_check" in public
+        missing = {
+            name
+            for name in public
+            if not callable(getattr(ProfilingBackend, name, None))
+        }
+        assert not missing
+
+    @pytest.mark.parametrize("backend", ["reference", "accelerated"])
+    def test_mul_double_check_timed_as_double_multiplications(self, backend):
+        with use_backend(backend) as inner:
+            pass
+        profiler = ProfilingBackend(inner)
+        curve = SECP256R1
+        q_point = mul_base(7, curve)
+        r = mul_base(3 + 5 * 7, curve).x % curve.n
+        terms = [(3, 5, q_point, r), (3, 5, q_point, r % (curve.n - 1) + 1)]
+        assert profiler.ec_mul_double_check(curve, terms) == [True, False]
+        assert inner.ec_mul_double_check(curve, terms) == [True, False]
+        assert profiler.timings["ec.mul_double"]["calls"] == 2
+        assert profiler.timings["ec.mul_double"]["wall_ns"] > 0
 
 
 class TestProfiledBackendScope:
