@@ -14,13 +14,12 @@ one.  This package makes the implementation pluggable:
 ``accelerated``
     ``hashlib``/``hmac`` from the standard library for the SHA-2 family
     and HMAC, and AES **and EC scalar multiplication** via the optional
-    ``cryptography`` package (OpenSSL) with a graceful fallback to the
-    reference AES / a wide pure-Python comb when it is not importable
-    (EC additionally degrades per curve when the local OpenSSL build
-    lacks one).  Trace events are computed analytically from message
-    lengths — and stay with the EC callers entirely — so hardware
-    pricing, energy accounting and every golden fleet/scenario digest
-    are **bit-identical** to the reference; only host wall-clock
+    ``cryptography`` package (OpenSSL).  Without it, AES and EC run the
+    reference code; EC also runs it on any curve the local OpenSSL
+    build does not serve.  Trace events are computed analytically from
+    message lengths — and stay with the EC callers entirely — so
+    hardware pricing, energy accounting and every golden fleet/scenario
+    digest are **bit-identical** to the reference; only host wall-clock
     changes.
 
 Selection, most specific wins:
@@ -59,7 +58,6 @@ from .base import (
     HashInfo,
     CryptoBackend,
     compression_blocks,
-    final_blocks,
     hmac_sha2_blocks,
 )
 
@@ -69,7 +67,6 @@ __all__ = [
     "HashInfo",
     "available_backends",
     "compression_blocks",
-    "final_blocks",
     "get_backend",
     "hmac_sha2_blocks",
     "register_backend",

@@ -1,4 +1,4 @@
-"""The accelerated backend: stdlib ``hashlib``/``hmac`` + OpenSSL AES.
+"""The accelerated backend: stdlib ``hashlib``/``hmac`` + OpenSSL AES and EC.
 
 Swaps the pure-Python compression loops for C implementations while
 emitting **exactly** the trace events the reference backend would have:
@@ -14,13 +14,13 @@ emitting **exactly** the trace events the reference backend would have:
   ECB context, CBC through one C call per message — and **falls back
   gracefully** to the from-scratch AES otherwise (hashes stay
   accelerated; only the cipher drops back);
-* EC scalar multiplication dispatches to
-  :class:`repro.backend.ec_accelerated.AcceleratedEc` — OpenSSL point
-  math per curve where the local build supports it, a wide pure-Python
-  affine-window comb otherwise — and ECDSA verification's
-  ``u*G + v*Q`` check is one OpenSSL ECDSA verify.  Trace events stay
-  with the callers in :mod:`repro.ec.scalarmult`, so EC accounting is
-  backend-invariant by construction.
+* EC operations are inherited from
+  :class:`repro.backend.ec_accelerated.OpenSslEcBackend`: OpenSSL point
+  math on the curves the local build serves, with ECDSA verification's
+  ``u*G + v*Q`` check as one OpenSSL ECDSA verify, and the reference
+  code on every other curve.  Trace events stay with the callers in
+  :mod:`repro.ec.scalarmult`, so EC accounting is backend-invariant by
+  construction.
 
 Because the trace streams are identical and every primitive is
 deterministic, fleet digests, hardware pricing and energy accounting are
@@ -35,15 +35,8 @@ import hmac as _stdlib_hmac
 
 from .. import trace
 from ..errors import CryptoError
-from .base import (
-    CryptoBackend,
-    HASH_INFO,
-    HashInfo,
-    compression_blocks,
-    final_blocks,
-    hmac_sha2_blocks,
-)
-from .ec_accelerated import OPENSSL_EC, AcceleratedEc
+from .base import HASH_INFO, HashInfo, compression_blocks, hmac_sha2_blocks
+from .ec_accelerated import OpenSslEcBackend
 
 try:  # AES offload is optional; hashes accelerate regardless.
     from cryptography.hazmat.primitives.ciphers import (
@@ -137,7 +130,9 @@ class _AcceleratedHash:
 
     def digest(self) -> bytes:
         """Finalize (non-destructively) and return the digest bytes."""
-        trace.record("sha2.block", final_blocks(self._buffered, self._info))
+        trace.record(
+            "sha2.block", compression_blocks(self._buffered, self._info)
+        )
         return self._hash.digest()
 
     def hexdigest(self) -> str:
@@ -254,7 +249,7 @@ class _AcceleratedAes:
         return self._ecb_encryptor().update(counters)[:length]
 
 
-class AcceleratedBackend(CryptoBackend):
+class AcceleratedBackend(OpenSslEcBackend):
     """``hashlib``/``hmac``/OpenSSL-backed primitives, trace-identical."""
 
     name = "accelerated"
@@ -262,18 +257,6 @@ class AcceleratedBackend(CryptoBackend):
     #: True when the optional ``cryptography`` package provides AES; the
     #: cipher falls back to the from-scratch AES otherwise.
     aes_accelerated = AES_ACCELERATED
-
-    #: True when the optional ``cryptography`` package provides EC point
-    #: math; scalar multiplication falls back to the pure-Python
-    #: affine-window engine otherwise (and per curve when a curve is
-    #: unknown to the local OpenSSL build).
-    ec_accelerated = OPENSSL_EC
-
-    def __init__(self) -> None:
-        # Per-backend-instance EC engine: its curve-impl / public-key /
-        # comb-table caches die with the backend instance, so registry
-        # resets in tests cannot leak state across backend generations.
-        self._ec = AcceleratedEc()
 
     def create_hash(self, name: str, data: bytes = b""):
         """Streaming hash over ``hashlib`` with analytic accounting."""
@@ -302,43 +285,6 @@ class AcceleratedBackend(CryptoBackend):
 
         return Aes(key)
 
-    # -- elliptic-curve operations (see repro.backend.ec_accelerated) -------
-
-    def ec_mul_base(self, curve, k: int):
-        """``k*G`` through OpenSSL key derivation (or the wide comb)."""
-        return self._ec.mul_base(curve, k)
-
-    def ec_mul(self, curve, k: int, point):
-        """``k*P`` through ECDH x-coordinates + y-recovery (or wNAF)."""
-        return self._ec.mul(curve, k, point)
-
-    def ec_mul_double(self, curve, u: int, p_point, v: int, q_point):
-        """``u*P + v*Q`` from two accelerated multiplies + one addition."""
-        return self._ec.mul_double(curve, u, p_point, v, q_point)
-
-    def ec_mul_base_batch(self, curve, ks: list) -> list:
-        """Batched ``k*G`` (OpenSSL results need no normalization pass)."""
-        return self._ec.mul_base_batch(curve, ks)
-
-    def ec_mul_double_batch(self, curve, terms: list) -> list:
-        """Batched ``u*P + v*Q`` terms (``None`` = degenerate term)."""
-        return self._ec.mul_double_batch(curve, terms)
-
-    def ec_mul_double_check(self, curve, terms: list) -> list:
-        """One OpenSSL ECDSA verification per term where it has an answer.
-
-        The terms it has none for go through the default path together.
-        """
-        answers = self._ec.mul_double_check(curve, terms)
-        rest = [term for term, answer in zip(terms, answers) if answer is None]
-        if rest:
-            fallback = iter(super().ec_mul_double_check(curve, rest))
-            answers = [
-                next(fallback) if answer is None else answer
-                for answer in answers
-            ]
-        return answers
-
     def describe(self) -> dict:
         """Introspection for benchmarks and docs."""
         return {
@@ -350,5 +296,5 @@ class AcceleratedBackend(CryptoBackend):
                 if self.aes_accelerated
                 else "from-scratch fallback (cryptography not importable)"
             ),
-            "ec": self._ec.describe(),
+            "ec": super().describe()["ec"],
         }

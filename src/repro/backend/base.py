@@ -70,18 +70,10 @@ def compression_blocks(message_len: int, info: HashInfo) -> int:
     so the padded message spans ``(message_len + length_bytes) //
     block_size + 1`` blocks.  This is exactly how many ``sha2.block``
     events the reference implementation records for a one-shot hash.
+    Given the not-yet-compressed tail of a streaming hash (``total %
+    block_size`` bytes), it counts the blocks its finalization adds.
     """
     return (message_len + info.length_bytes) // info.block_size + 1
-
-
-def final_blocks(buffered_len: int, info: HashInfo) -> int:
-    """Compressions a streaming hash performs at finalization.
-
-    ``buffered_len`` is the number of not-yet-compressed message bytes
-    (``total_length % block_size``); padding always fits in one or two
-    more blocks.
-    """
-    return (buffered_len + info.length_bytes) // info.block_size + 1
 
 
 def hmac_sha2_blocks(key_len: int, message_len: int, info: HashInfo) -> int:

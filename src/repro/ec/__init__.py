@@ -6,8 +6,8 @@ Public surface:
 * :class:`Point` with affine arithmetic and operator overloads,
 * scalar multiplication strategies (:func:`mul_base`, :func:`mul_point`,
   :func:`mul_double`, :func:`mul_ladder`) plus the batch-optimized
-  :func:`mul_base_batch` and :func:`mul_double_batch`, and the
-  ECDSA-verification check :func:`mul_double_check`,
+  :func:`mul_base_batch`, and the ECDSA-verification check
+  :func:`mul_double_check` (a batch of yes/no double multiplications),
 * SEC 1 point encoding (:func:`encode_point`, :func:`decode_point`),
 * modular helpers (:func:`inverse_mod`, :func:`sqrt_mod`,
   :func:`batch_inverse`),
@@ -17,7 +17,8 @@ Public surface:
 default: the scalar-multiplication wrappers additionally dispatch their
 non-degenerate cores through the pluggable backend seam
 (:mod:`repro.backend`), so ``use_backend("accelerated")`` swaps in
-OpenSSL point math with bit-identical points and trace events.
+OpenSSL point math on the curves OpenSSL serves, with bit-identical
+points and trace events, and keeps this code for every other curve.
 """
 
 from .curve import (
@@ -50,7 +51,6 @@ from .scalarmult import (
     mul_base,
     mul_base_batch,
     mul_double,
-    mul_double_batch,
     mul_double_check,
     mul_ladder,
     mul_point,
@@ -83,7 +83,6 @@ __all__ = [
     "mul_base",
     "mul_base_batch",
     "mul_double",
-    "mul_double_batch",
     "mul_double_check",
     "mul_ladder",
     "mul_point",

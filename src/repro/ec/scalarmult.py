@@ -10,12 +10,12 @@ offers:
   :func:`mul_base_batch` amortizes the final Jacobian normalization over a
   whole batch of scalars via Montgomery-trick batch inversion.
 * :func:`mul_double` — interleaved-wNAF simultaneous multiplication
-  ``u*P + v*Q`` used by ECDSA verification and by the fused
+  ``u*P + v*Q`` for callers that need the point, such as the fused
   reconstruct-and-derive step of the SCIANC protocol (traces
-  ``ec.mul_double``); :func:`mul_double_batch` amortizes the final
-  normalization across many terms, and :func:`mul_double_check` asks
-  only whether the sum is finite with ``x mod n == r`` (ECDSA
-  verification's last step, so a backend may answer without the point).
+  ``ec.mul_double``); :func:`mul_double_check` asks only whether
+  ``u*G + v*Q`` is finite with ``x mod n == r`` (ECDSA verification's
+  last step, so a backend may answer without the point) and records the
+  same event per term.
 * :func:`mul_ladder` — a uniform double-and-add-always ladder approximating
   the constant-time behaviour of hardened embedded code
   (traces ``ec.mul_point``; same price class).
@@ -35,12 +35,13 @@ Since the EC extension of the backend seam, the public functions here are
 *dispatch wrappers*: they own scalar reduction, degenerate-case collapsing
 and the ``ec.mul_*`` trace events, then hand the non-degenerate core to
 :func:`repro.backend.get_backend` (``ec_mul_base`` / ``ec_mul`` /
-``ec_mul_double``, their batch forms and ``ec_mul_double_check``).  The
+``ec_mul_double``, ``ec_mul_base_batch`` and ``ec_mul_double_check``).  The
 default backend methods call straight back into the ``_mul_*`` reference
 cores below, so the ``reference`` backend runs the exact seed code path;
-``accelerated`` substitutes OpenSSL point math with bit-identical results
-(affine coordinates of a group element are unique) and — because no
-backend may record trace events — bit-identical accounting.
+``accelerated`` substitutes OpenSSL point math on the curves OpenSSL
+serves and inherits those defaults everywhere else, with bit-identical
+results (affine coordinates of a group element are unique) and —
+because no backend may record trace events — bit-identical accounting.
 :func:`mul_ladder` stays backend-independent on purpose: it is the
 uniform-schedule oracle the tests cross-check every backend against.
 """
@@ -333,38 +334,6 @@ def mul_double(u: int, p_point: Point, v: int, q_point: Point) -> Point:
     return get_backend().ec_mul_double(curve, u, p_point, v, q_point)
 
 
-def mul_double_batch(terms, curve: Curve) -> list[Point]:
-    """Many ``u*P + v*Q`` computations with one shared normalization.
-
-    Args:
-        terms: iterable of ``(u, p_point, v, q_point)`` tuples.
-        curve: common domain parameters (every point must live on it).
-
-    Evaluates each term in Jacobian coordinates and converts the whole
-    batch to affine through a single Montgomery-trick inversion — the
-    batched counterpart of :func:`mul_double`, and the reference path of
-    :func:`mul_double_check`.  Records one ``ec.mul_double`` event per
-    non-degenerate term, exactly like the scalar-at-a-time path, so cost
-    traces are unchanged.
-    """
-    reduced: list[tuple[int, Point, int, Point] | None] = []
-    for u, p_point, v, q_point in terms:
-        # Full-value comparison, not name: a point on a curve merely
-        # sharing a name must not be reduced/normalized with this
-        # curve's (n, p) — the aliasing hazard every cache here guards
-        # against.
-        if p_point.curve != curve or q_point.curve != curve:
-            raise CurveError("mul_double_batch requires points on one curve")
-        u %= curve.n
-        v %= curve.n
-        if (u == 0 or p_point.is_infinity) and (v == 0 or q_point.is_infinity):
-            reduced.append(None)
-            continue
-        trace.record("ec.mul_double")
-        reduced.append((u, p_point, v, q_point))
-    return get_backend().ec_mul_double_batch(curve, reduced)
-
-
 def mul_double_check(terms, curve: Curve) -> list[bool]:
     """Whether each ``u*G + v*Q`` is finite with ``x mod n == r``.
 
@@ -375,10 +344,11 @@ def mul_double_check(terms, curve: Curve) -> list[bool]:
 
     The last step of ECDSA verification as one yes/no question, so a
     backend may answer it without producing the point.  Scalars are
-    reduced and degenerate terms answer ``False`` here, exactly like
-    :func:`mul_double_batch`, with one ``ec.mul_double`` event per
-    non-degenerate term; only those reach
-    :meth:`~repro.backend.CryptoBackend.ec_mul_double_check`.
+    reduced and degenerate terms answer ``False`` here, with one
+    ``ec.mul_double`` event per non-degenerate term, exactly as
+    :func:`mul_double` would record; only those terms reach
+    :meth:`~repro.backend.CryptoBackend.ec_mul_double_check`, whose
+    reference path evaluates them through one shared normalization.
     """
     reduced: list[tuple[int, int, Point, int] | None] = []
     for u, v, q_point, r in terms:

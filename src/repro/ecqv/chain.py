@@ -45,6 +45,7 @@ def make_sub_ca(
     clock=None,
     validity_seconds: int = DEFAULT_VALIDITY_SECONDS,
     authenticate_request: bool = False,
+    key_cache: KeyCache | None = None,
 ) -> tuple[CertificateAuthority, Certificate]:
     """Enroll a subordinate CA at ``root`` and return it with its cert.
 
@@ -62,8 +63,11 @@ def make_sub_ca(
         validity_seconds: certificate session of the intermediate.
         authenticate_request: sign the enrollment request (proof of
             possession) so a ``require_signed_requests`` root accepts it.
+        key_cache: the deployment's :class:`~repro.ecqv.KeyCache`, so the
+            trust store that registers this certificate rebuilds the
+            same key from the cache; a fresh one by default.
     """
-    requester = CertificateRequester(root.curve, ca_id, rng)
+    requester = CertificateRequester(root.curve, ca_id, rng, key_cache)
     issued = root.issue_batch(
         [requester.create_request(authenticate=authenticate_request)],
         validity_seconds=validity_seconds,

@@ -262,6 +262,7 @@ class FleetTopology:
             clock=clock,
             validity_seconds=config.cert_validity_seconds,
             authenticate_request=config.authenticate_requests,
+            key_cache=self.key_cache,
         )
         ca.require_signed_requests = config.authenticate_requests
         # A shard serves ~n/M vehicles, so its pool is sized for its

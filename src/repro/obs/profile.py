@@ -93,13 +93,32 @@ class _TimedProxy:
         return timed
 
 
+#: The backend seam methods :class:`ProfilingBackend` forwards and times,
+#: with the event class each is timed under.  A batch or check method
+#: counts one call per term of its last argument.
+_FORWARDED = {
+    "hash_digest": "sha2",
+    "hmac_digest": "hmac",
+    "ec_mul_base": "ec.mul_base",
+    "ec_mul": "ec.mul_point",
+    "ec_mul_double": "ec.mul_double",
+    "ec_mul_base_batch": "ec.mul_base",
+    "ec_mul_double_batch": "ec.mul_double",
+    "ec_mul_double_check": "ec.mul_double",
+    "ec_normalize_batch": "ec.normalize",
+}
+
+
 class ProfilingBackend:
     """A delegating crypto backend that times each primitive class.
 
     The wrapper satisfies the full :class:`repro.backend.CryptoBackend`
     surface by forwarding to ``inner`` unchanged, so byte parity and
     trace parity are inherited — it only accumulates
-    ``{event: {"wall_ns", "calls"}}`` on the side.
+    ``{event: {"wall_ns", "calls"}}`` on the side.  The seam methods
+    other than ``create_hash``/``create_cipher``/``describe`` are timed
+    wrappers bound on the instance, so a caller may look them up and
+    replace them there.
     """
 
     def __init__(self, inner):
@@ -108,20 +127,31 @@ class ProfilingBackend:
         self.timings: dict = {
             event: {"wall_ns": 0, "calls": 0} for event in PRIMITIVE_CLASSES
         }
+        for method, event in _FORWARDED.items():
+            per_term = method.endswith(("_batch", "_check"))
+            setattr(
+                self,
+                method,
+                self._timed(event, getattr(inner, method), per_term),
+            )
 
     def _add(self, event: str, wall_ns: int, calls: int = 1) -> None:
         bucket = self.timings[event]
         bucket["wall_ns"] += wall_ns
         bucket["calls"] += calls
 
-    def _timed(self, event, method, *args, calls: int = 1):
-        start = time.perf_counter_ns()
-        try:
-            return method(*args)
-        finally:
-            self._add(event, time.perf_counter_ns() - start, calls=calls)
+    def _timed(self, event: str, method, per_term: bool):
+        """``method`` timed under ``event``, one call or one per term."""
 
-    # -- hash / mac / cipher ------------------------------------------------
+        def timed(*args):
+            start = time.perf_counter_ns()
+            try:
+                return method(*args)
+            finally:
+                calls = len(args[-1]) if per_term else 1
+                self._add(event, time.perf_counter_ns() - start, calls)
+
+        return timed
 
     def create_hash(self, name: str, data: bytes = b""):
         """Delegate and time under the ``sha2`` class; proxy-wrapped."""
@@ -130,68 +160,12 @@ class ProfilingBackend:
         self._add("sha2", time.perf_counter_ns() - start)
         return _TimedProxy(obj, self, "sha2")
 
-    def hash_digest(self, name: str, data: bytes) -> bytes:
-        """Delegate ``hash_digest``, timed under ``sha2``."""
-        return self._timed("sha2", self.inner.hash_digest, name, data)
-
-    def hmac_digest(self, key, message, hash_name) -> bytes:
-        """Delegate ``hmac_digest``, timed under ``hmac``."""
-        return self._timed(
-            "hmac", self.inner.hmac_digest, key, message, hash_name
-        )
-
     def create_cipher(self, key: bytes):
         """Delegate and time under the ``aes`` class; proxy-wrapped."""
         start = time.perf_counter_ns()
         obj = self.inner.create_cipher(key)
         self._add("aes", time.perf_counter_ns() - start)
         return _TimedProxy(obj, self, "aes")
-
-    # -- elliptic curve -----------------------------------------------------
-
-    def ec_mul_base(self, curve, k):
-        """Delegate ``ec_mul_base``, timed under ``ec.mul_base``."""
-        return self._timed("ec.mul_base", self.inner.ec_mul_base, curve, k)
-
-    def ec_mul(self, curve, k, point):
-        """Delegate ``ec_mul``, timed under ``ec.mul_point``."""
-        return self._timed("ec.mul_point", self.inner.ec_mul, curve, k, point)
-
-    def ec_mul_double(self, curve, u, p_point, v, q_point):
-        """Delegate ``ec_mul_double``, timed under ``ec.mul_double``."""
-        return self._timed(
-            "ec.mul_double",
-            self.inner.ec_mul_double,
-            curve, u, p_point, v, q_point,
-        )
-
-    def ec_mul_base_batch(self, curve, ks):
-        """Delegate the batch; one timing, ``len(ks)`` calls."""
-        return self._timed(
-            "ec.mul_base", self.inner.ec_mul_base_batch, curve, ks,
-            calls=len(ks),
-        )
-
-    def ec_mul_double_batch(self, curve, terms):
-        """Delegate the batch; one timing, ``len(terms)`` calls."""
-        return self._timed(
-            "ec.mul_double", self.inner.ec_mul_double_batch, curve, terms,
-            calls=len(terms),
-        )
-
-    def ec_mul_double_check(self, curve, terms):
-        """Delegate the check under ``ec.mul_double``; ``len(terms)`` calls."""
-        return self._timed(
-            "ec.mul_double", self.inner.ec_mul_double_check, curve, terms,
-            calls=len(terms),
-        )
-
-    def ec_normalize_batch(self, curve, jacs):
-        """Delegate the batch; one timing, ``len(jacs)`` calls."""
-        return self._timed(
-            "ec.normalize", self.inner.ec_normalize_batch, curve, jacs,
-            calls=len(jacs),
-        )
 
     def describe(self) -> dict:
         """The inner backend's description, marked ``profiled``."""

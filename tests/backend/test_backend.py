@@ -231,7 +231,7 @@ class TestEcSurface:
         with use_backend("accelerated") as backend:
             description = backend.describe()["ec"]
         # Either tier names itself honestly.
-        assert "cryptography" in description or "fallback" in description
+        assert description.startswith(("cryptography (OpenSSL", "reference:"))
 
     def test_base_class_defaults_are_the_reference_path(self):
         # A custom backend that implements nothing EC-specific inherits
@@ -249,68 +249,116 @@ class TestEcSurface:
     def test_ec_fallback_for_unknown_curves(self):
         # A curve object that is NOT the canonical registry entry (here:
         # a structurally equal copy is canonical, so use a fresh Curve
-        # with a bogus name) must never reach OpenSSL; the wide-comb
-        # fallback still matches the reference bit for bit.
+        # with a bogus name) must never reach OpenSSL; the reference
+        # code answers for it, bit for bit.
         import dataclasses
 
-        from repro.backend.ec_accelerated import AcceleratedEc
         from repro.ec import SECP256R1, mul_base
 
         rogue = dataclasses.replace(SECP256R1, name="not-a-registry-curve")
-        engine = AcceleratedEc()
-        assert engine._curve_impl(rogue) is None
-        got = engine.mul_base(rogue, 12345)
+        backend = AcceleratedBackend()
+        assert backend._curve_impl(rogue) is None
+        got = backend.ec_mul_base(rogue, 12345)
         want = mul_base(12345, SECP256R1)
         assert (got.x, got.y) == (want.x, want.y)
 
-    def test_ec_check_answers_through_openssl_where_it_can(self):
+    def test_ec_check_answers_through_openssl_where_it_can(self, monkeypatch):
         # Served curves answer ordinary terms with an OpenSSL verification
-        # and leave the rest (None) to the default path, so the parity
-        # fuzz compares two different engines, not the fallback twice.
+        # and send only the terms without a signature form to the
+        # reference path, so the parity fuzz compares two different
+        # engines, not the reference twice.
         import dataclasses
 
-        from repro.backend.ec_accelerated import AcceleratedEc
+        from repro.backend import CryptoBackend
         from repro.ec import SECP256R1, Point, mul_base
 
         curve = SECP256R1
         q = mul_base(7, curve)
         r = mul_base(3 + 5 * 7, curve).x % curve.n
-        engine = AcceleratedEc()
-        assert engine.mul_double_check(
+        no_signature_form = [
+            (3, 0, q, r),
+            (3, 5, Point.infinity(curve), r),
+            (3, 5, q, 0),
+            (3, 5, q, curve.n),
+        ]
+        seen = []
+        reference_check = CryptoBackend.ec_mul_double_check
+
+        def spy(self, curve, terms):
+            seen.append(list(terms))
+            return reference_check(self, curve, terms)
+
+        monkeypatch.setattr(CryptoBackend, "ec_mul_double_check", spy)
+        backend = AcceleratedBackend()
+        assert backend.ec_mul_double_check(
             curve,
-            [
-                (3, 5, q, r),
-                (3, 5, q, r % (curve.n - 1) + 1),
-                (3, 0, q, r),
-                (3, 5, Point.infinity(curve), r),
-                (3, 5, q, 0),
-                (3, 5, q, curve.n),
-            ],
-        ) == [True, False, None, None, None, None]
+            [(3, 5, q, r), (3, 5, q, r % (curve.n - 1) + 1)]
+            + no_signature_form,
+        ) == [True, False, False, False, False, False]
+        assert seen == [no_signature_form]
+        # A curve OpenSSL does not serve goes to the reference path whole.
         rogue = dataclasses.replace(curve, name="not-a-registry-curve")
         rogue_q = mul_base(7, rogue)
-        assert engine.mul_double_check(rogue, [(3, 5, rogue_q, r)]) == [None]
-        assert AcceleratedBackend().ec_mul_double_check(
-            rogue, [(3, 5, rogue_q, r)]
-        ) == [True]
+        seen.clear()
+        assert backend.ec_mul_double_check(rogue, [(3, 5, rogue_q, r)]) == [
+            True
+        ]
+        assert seen == [[(3, 5, rogue_q, r)]]
 
     def test_ec_fallback_when_cryptography_is_missing(self, monkeypatch):
         import repro.backend.ec_accelerated as ec_mod
         from repro.ec import SECP256R1, mul_base, mul_point
 
         monkeypatch.setattr(ec_mod, "OPENSSL_EC", False)
-        engine = ec_mod.AcceleratedEc()
-        assert engine._curve_impl(SECP256R1) is None
-        assert "fallback" in engine.describe()
+        backend = AcceleratedBackend()
+        assert backend._curve_impl(SECP256R1) is None
+        assert backend.describe()["ec"].startswith("reference")
         k = 0xFEEDFACE % SECP256R1.n
-        assert engine.mul_base(SECP256R1, k) == mul_base(k, SECP256R1)
+        assert backend.ec_mul_base(SECP256R1, k) == mul_base(k, SECP256R1)
         g = SECP256R1.generator
-        assert engine.mul(SECP256R1, k, g) == mul_point(k, g)
+        assert backend.ec_mul(SECP256R1, k, g) == mul_point(k, g)
+
+    def test_fallback_taken_at_import_without_cryptography(self):
+        # The other fallback tests patch the flags after import; this one
+        # blocks the package before the accelerated backend is imported.
+        script = """
+import sys
+sys.modules["cryptography"] = None
+from repro.backend.accelerated import AES_ACCELERATED, AcceleratedBackend
+from repro.backend.ec_accelerated import OPENSSL_EC
+from repro.fleet import FleetConfig, run_fleet
+config = FleetConfig(
+    n_vehicles=2, seed=b"no-cryptography", records_per_vehicle=2, max_records=1
+)
+digests = {
+    backend: run_fleet(config, backend=backend).stats.digest()
+    for backend in ("reference", "accelerated")
+}
+print(OPENSSL_EC, AES_ACCELERATED)
+print(AcceleratedBackend().describe()["ec"])
+print(len(set(digests.values())))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={
+                **{k: v for k, v in os.environ.items()
+                   if k != "REPRO_BACKEND"},
+                "PYTHONPATH": "src",
+            },
+            capture_output=True,
+            text=True,
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+        )
+        assert out.returncode == 0, out.stderr
+        flags, ec, distinct = out.stdout.strip().splitlines()
+        assert flags == "False False"
+        assert ec.startswith("reference: from-scratch")
+        assert distinct == "1"
 
     def test_openssl_tier_active_in_this_environment(self):
-        # The container ships `cryptography`, so the accelerated backend
-        # must actually be offloading EC here — guards against silently
-        # testing only the fallback tier.
+        # The test environments install `cryptography`, so the
+        # accelerated backend must actually be offloading EC here —
+        # guards against silently testing the reference code twice.
         from repro.backend.ec_accelerated import OPENSSL_EC
 
         assert OPENSSL_EC

@@ -12,14 +12,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.backend import use_backend
+from repro.backend import get_backend, use_backend
 from repro.ec import (
     SECP192R1,
     SECP256R1,
     Point,
     clear_point_tables,
     mul_double,
-    mul_double_batch,
     mul_point,
     precompute_point,
 )
@@ -58,15 +57,17 @@ class TestCorrectness:
         terms = [
             (3 + i, SECP256R1.generator, 1000 + i, q) for i in range(12)
         ]
-        batched = mul_double_batch(terms, SECP256R1)
+        batched = get_backend().ec_mul_double_batch(SECP256R1, terms)
         sequential = [mul_double(u, p, v, qq) for u, p, v, qq in terms]
         assert batched == sequential
 
     def test_degenerate_terms_pass_through(self):
+        # None marks a term the caller collapsed to infinity; a term with
+        # one degenerate side still computes the other.
         q = _hot_point()
         inf = Point.infinity(SECP256R1)
-        results = mul_double_batch(
-            [(0, inf, 0, q), (1, q, 0, inf)], SECP256R1
+        results = get_backend().ec_mul_double_batch(
+            SECP256R1, [None, (1, q, 0, inf)]
         )
         assert results[0].is_infinity
         assert results[1] == q

@@ -8,7 +8,8 @@ pinned to the same establishments run with a fresh cache each, under
 both backends, on a single-gateway link and on a cross-shard V2V pair
 that resolves its peer through the trust store.  Certificate requesters
 share the run's cache too, so a peer's first STS run finds the key its
-owner rebuilt at reception.
+owner rebuilt at reception, and a trust store registering a sub-CA
+certificate finds the key that sub-CA's enrollment rebuilt.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from repro.ecqv import (
     KeyCache,
     TrustStore,
     issue_credential,
+    make_sub_ca,
 )
 from repro.ecqv import cache as cache_module
 from repro.fleet import FleetConfig, FleetOrchestrator
+from repro.fleet import topology as topology_module
 from repro.fleet.topology import FleetTopology
 from repro.primitives import HmacDrbg
 from repro.protocols import SessionContext, make_sts_pair, run_protocol
@@ -252,3 +255,43 @@ def test_requester_without_a_cache_gets_its_own():
     second = CertificateRequester(SECP256R1, b"\x02" * 16, rng)
     assert isinstance(first.key_cache, KeyCache)
     assert first.key_cache is not second.key_cache
+
+
+def test_sub_ca_enrollment_rebuilds_each_pair_once(monkeypatch):
+    # A 4-shard build has 8 distinct (certificate, issuer) pairs: each
+    # sub-CA certificate under the root and each gateway certificate
+    # under its sub-CA.  The trust store's registration of a sub-CA
+    # certificate finds the key its enrollment already rebuilt.
+    pairs: list = []
+    reconstruct = cache_module.reconstruct_public_key
+
+    def logging_reconstruct(certificate, issuer_public):
+        pairs.append((certificate.encode(), issuer_public.x, issuer_public.y))
+        return reconstruct(certificate, issuer_public)
+
+    monkeypatch.setattr(
+        cache_module, "reconstruct_public_key", logging_reconstruct
+    )
+    topology = FleetTopology(FleetConfig(seed=b"sub-ca-cache", shards=4))
+    assert len(pairs) == len(set(pairs)) == 8
+    assert topology.key_cache.hits == 4
+
+
+def test_sub_ca_enrollment_keeps_a_rejoin_run(monkeypatch):
+    shared_scopes, shared, shared_stats = _observed_run(
+        monkeypatch, _CHURN_CONFIG
+    )
+    # The same run with a fresh cache in every sub-CA enrollment.
+    def make_sub_ca_own_cache(*args, key_cache=None, **kwargs):
+        return make_sub_ca(*args, **kwargs)
+
+    monkeypatch.setattr(topology_module, "make_sub_ca", make_sub_ca_own_cache)
+    fresh_scopes, fresh, fresh_stats = _observed_run(
+        monkeypatch, _CHURN_CONFIG
+    )
+    assert shared_stats.rejoins == 1
+    assert shared_scopes == fresh_scopes
+    assert shared_stats.digest() == fresh_stats.digest()
+    # Two sub-CA certificates at build time and the rejoined shard's
+    # new one are each rebuilt once instead of twice.
+    assert fresh - shared == 3
