@@ -1,6 +1,6 @@
 """OpenSSL elliptic-curve arithmetic for the ``accelerated`` backend.
 
-:class:`OpenSslEcBackend` overrides six EC operations of
+:class:`OpenSslEcBackend` overrides five EC operations of
 :class:`~repro.backend.base.CryptoBackend`.  Each answers through
 OpenSSL (the optional ``cryptography`` package) on a curve whose
 parameters match a curve OpenSSL also ships, and otherwise returns the
@@ -32,6 +32,10 @@ On a served curve:
   OpenSSL, so there is nothing to re-validate; a wrong answer on honest
   traffic would abort an establishment and break the pinned digest of
   every run that verifies, so it cannot pass silently either.
+
+``ec_mul_double_batch`` and ``ec_normalize_batch`` are inherited: the
+batch's one caller is the check's reference path, which on a served
+curve only sees the terms without a signature form.
 
 Every point result is rebuilt as a :class:`~repro.ec.point.Point`, whose
 constructor re-validates the curve equation — an incorrect C result or
@@ -228,19 +232,6 @@ class OpenSslEcBackend(CryptoBackend):
         return [
             Point.infinity(curve) if k == 0 else self.ec_mul_base(curve, k)
             for k in ks
-        ]
-
-    def ec_mul_double_batch(self, curve, terms: list) -> list:
-        """Batched ``u*P + v*Q`` terms (``None`` = degenerate term)."""
-        from ..ec.point import Point
-
-        if self._curve_impl(curve) is None:
-            return super().ec_mul_double_batch(curve, terms)
-        return [
-            Point.infinity(curve)
-            if term is None
-            else self.ec_mul_double(curve, *term)
-            for term in terms
         ]
 
     def ec_mul_double_check(self, curve, terms: list) -> list:

@@ -93,19 +93,19 @@ class _TimedProxy:
         return timed
 
 
-#: The backend seam methods :class:`ProfilingBackend` forwards and times,
-#: with the event class each is timed under.  A batch or check method
-#: counts one call per term of its last argument.
+#: The backend seam methods :class:`ProfilingBackend` forwards and times:
+#: the event class each is timed under and, for a batch or check method,
+#: the parameter whose terms each count as one call.
 _FORWARDED = {
-    "hash_digest": "sha2",
-    "hmac_digest": "hmac",
-    "ec_mul_base": "ec.mul_base",
-    "ec_mul": "ec.mul_point",
-    "ec_mul_double": "ec.mul_double",
-    "ec_mul_base_batch": "ec.mul_base",
-    "ec_mul_double_batch": "ec.mul_double",
-    "ec_mul_double_check": "ec.mul_double",
-    "ec_normalize_batch": "ec.normalize",
+    "hash_digest": ("sha2", None),
+    "hmac_digest": ("hmac", None),
+    "ec_mul_base": ("ec.mul_base", None),
+    "ec_mul": ("ec.mul_point", None),
+    "ec_mul_double": ("ec.mul_double", None),
+    "ec_mul_base_batch": ("ec.mul_base", "ks"),
+    "ec_mul_double_batch": ("ec.mul_double", "terms"),
+    "ec_mul_double_check": ("ec.mul_double", "terms"),
+    "ec_normalize_batch": ("ec.normalize", "jacs"),
 }
 
 
@@ -127,28 +127,31 @@ class ProfilingBackend:
         self.timings: dict = {
             event: {"wall_ns": 0, "calls": 0} for event in PRIMITIVE_CLASSES
         }
-        for method, event in _FORWARDED.items():
-            per_term = method.endswith(("_batch", "_check"))
-            setattr(
-                self,
-                method,
-                self._timed(event, getattr(inner, method), per_term),
-            )
+        for method, (event, batch) in _FORWARDED.items():
+            setattr(self, method, self._timed(method, event, batch))
 
     def _add(self, event: str, wall_ns: int, calls: int = 1) -> None:
         bucket = self.timings[event]
         bucket["wall_ns"] += wall_ns
         bucket["calls"] += calls
 
-    def _timed(self, event: str, method, per_term: bool):
-        """``method`` timed under ``event``, one call or one per term."""
+    def _timed(self, method: str, event: str, batch):
+        """``inner.<method>`` timed under ``event``.
 
-        def timed(*args):
+        The inner method is looked up at each call, so a later patch of
+        the inner backend is seen.  A call counts once, or once per term
+        of its ``batch`` argument (the last, by position or by name).
+        """
+
+        def timed(*args, **kwargs):
             start = time.perf_counter_ns()
             try:
-                return method(*args)
+                return getattr(self.inner, method)(*args, **kwargs)
             finally:
-                calls = len(args[-1]) if per_term else 1
+                if batch is None:
+                    calls = 1
+                else:
+                    calls = len(kwargs[batch] if batch in kwargs else args[-1])
                 self._add(event, time.perf_counter_ns() - start, calls)
 
         return timed

@@ -47,9 +47,22 @@ class TestProfilingBackend:
         assert profiler.hmac_digest(b"k" * 32, data, "sha256") == (
             inner.hmac_digest(b"k" * 32, data, "sha256")
         )
-        assert profiler.timings["sha2"]["calls"] == 1
+        assert profiler.hash_digest("sha256", data=data) == (
+            inner.hash_digest("sha256", data)
+        )
+        assert profiler.timings["sha2"]["calls"] == 2
         assert profiler.timings["hmac"]["calls"] == 1
         assert profiler.timings["sha2"]["wall_ns"] > 0
+
+    def test_sees_a_later_patch_of_the_inner_backend(self, monkeypatch):
+        # The inner method is looked up at each call, so a patch of the
+        # inner backend made after wrapping is what the wrapper runs.
+        with use_backend("reference") as inner:
+            pass
+        profiler = ProfilingBackend(inner)
+        monkeypatch.setattr(inner, "hash_digest", lambda *args: b"patched")
+        assert profiler.hash_digest("sha256", b"x") == b"patched"
+        assert profiler.timings["sha2"]["calls"] == 1
 
     def test_streaming_hash_proxy_stays_chainable(self):
         with use_backend("reference") as inner:
@@ -105,6 +118,12 @@ class TestProfilingBackend:
         assert profiler.ec_mul_double_check(curve, terms) == [True, False]
         assert inner.ec_mul_double_check(curve, terms) == [True, False]
         assert profiler.timings["ec.mul_double"]["calls"] == 2
+        # Passed by name, the terms still count one call each.
+        assert profiler.ec_mul_double_check(curve=curve, terms=terms) == [
+            True,
+            False,
+        ]
+        assert profiler.timings["ec.mul_double"]["calls"] == 4
         assert profiler.timings["ec.mul_double"]["wall_ns"] > 0
 
 
