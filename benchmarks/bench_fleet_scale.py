@@ -89,8 +89,8 @@ def run_fleet_deterministically(config: FleetConfig):
 
     Returns the *best* of the two walls: the first run pays one-time
     process costs (shared wNAF/generator table precompute), and the
-    backend-speedup cell compares this wall against best-of-N
-    accelerated runs — both sides must be measured warm.
+    backend-speedup cell compares this wall against the other
+    backend's best of as many runs — both sides must be measured warm.
     """
     t0 = time.perf_counter()
     first = FleetOrchestrator(config).run()
@@ -127,40 +127,43 @@ def bench_normalization(n_points: int) -> tuple[float, float]:
 
 def bench_backend_speedup(
     config: FleetConfig,
-    reference_wall: float | None = None,
-    reference_digest: str | None = None,
     repeats: int = 2,
+    measured: tuple[str, float, str] | None = None,
 ) -> dict:
     """Time the same storm under both backends; assert digest parity.
 
-    ``reference_wall``/``reference_digest`` let the caller reuse a
-    reference-backend measurement it already paid for (the main storm);
-    when absent the reference side is run once here.  The accelerated
-    side runs ``repeats`` times and reports the best wall (the digest is
-    asserted on every run).
+    Each backend's wall is the best of ``repeats`` runs, so the speedup
+    divides like by like.  ``measured`` is ``(backend, wall, digest)``
+    for one side the caller already timed as the best of ``repeats``
+    runs (the main storm); only the other side runs here.  The digest
+    is asserted on every run.
 
-    Returns a JSON-ready cell with per-backend walls, implementation
-    descriptions and the measured speedup.
+    Returns a JSON-ready cell with per-backend walls, the run count
+    behind each (``best_of``), implementation descriptions and the
+    measured speedup.
     """
-    if reference_wall is None or reference_digest is None:
-        t0 = time.perf_counter()
-        result = FleetOrchestrator(
-            dataclasses.replace(config, backend="reference")
-        ).run()
-        reference_wall = time.perf_counter() - t0
-        reference_digest = result.stats.digest()
-    accel_config = dataclasses.replace(config, backend="accelerated")
-    accel_wall = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = FleetOrchestrator(accel_config).run()
-        accel_wall = min(accel_wall, time.perf_counter() - t0)
-        digest = result.stats.digest()
-        if digest != reference_digest:
-            raise AssertionError(
-                "backend parity violated: accelerated digest"
-                f" {digest} != reference {reference_digest}"
-            )
+    walls: dict[str, float] = {}
+    digest = None
+    if measured is not None:
+        backend, wall, digest = measured
+        walls[backend] = wall
+    for backend in ("reference", "accelerated"):
+        if backend in walls:
+            continue
+        run_config = dataclasses.replace(config, backend=backend)
+        walls[backend] = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            result = FleetOrchestrator(run_config).run()
+            walls[backend] = min(walls[backend], time.perf_counter() - t0)
+            run_digest = result.stats.digest()
+            if digest is None:
+                digest = run_digest
+            elif run_digest != digest:
+                raise AssertionError(
+                    f"backend parity violated: {backend} digest"
+                    f" {run_digest} != {digest}"
+                )
     with use_backend("accelerated") as accelerated:
         accel_describe = accelerated.describe()
         aes_accelerated = getattr(accelerated, "aes_accelerated", False)
@@ -168,10 +171,11 @@ def bench_backend_speedup(
     with use_backend("reference") as reference:
         ref_describe = reference.describe()
     return {
-        "reference": {"wall_s": reference_wall, **ref_describe},
-        "accelerated": {"wall_s": accel_wall, **accel_describe},
-        "speedup": reference_wall / accel_wall,
-        "digest": reference_digest,
+        "reference": {"wall_s": walls["reference"], **ref_describe},
+        "accelerated": {"wall_s": walls["accelerated"], **accel_describe},
+        "best_of": repeats,
+        "speedup": walls["reference"] / walls["accelerated"],
+        "digest": digest,
         "aes_accelerated": aes_accelerated,
         "ec_accelerated": ec_accelerated,
     }
@@ -517,17 +521,14 @@ def main() -> None:
           " (one k*G dominates each certificate, so expect ~1x here;"
           " the batch win is the normalization share above)")
 
-    # Reuse the main storm's wall/digest when it already ran on the
-    # reference backend; otherwise the cell re-times the reference side.
-    backend_repeats = 3 if args.quick else 2
-    if main_backend == "reference":
-        backend_cell = bench_backend_speedup(
-            config, wall_s, digest, repeats=backend_repeats
-        )
-    else:
-        backend_cell = bench_backend_speedup(config, repeats=backend_repeats)
+    # The main storm's best of 2 runs is its backend's side of the
+    # cell; the other backend is timed as the best of 2 runs too.
+    backend_cell = bench_backend_speedup(
+        config, repeats=2, measured=(main_backend, wall_s, digest)
+    )
     backend_speedup = backend_cell["speedup"]
-    print(f"\n== crypto backend ({config.n_vehicles}-vehicle storm) ==")
+    print(f"\n== crypto backend ({config.n_vehicles}-vehicle storm,"
+          f" best of {backend_cell['best_of']} runs per backend) ==")
     print(f"  reference           : {backend_cell['reference']['wall_s']:.2f} s")
     print(f"  accelerated         : {backend_cell['accelerated']['wall_s']:.2f} s"
           f"  ({backend_cell['accelerated']['sha2']};"
@@ -652,6 +653,7 @@ def test_backend_cell_parity_at_pytest_scale():
     cell = bench_backend_speedup(config, repeats=1)
     assert cell["digest"]
     assert cell["speedup"] > 0
+    assert cell["best_of"] == 1
     # The cell must report both acceleration flags and name the EC tier
     # so BENCH_fleet.json records which speedup bar applied.
     assert "aes_accelerated" in cell and "ec_accelerated" in cell

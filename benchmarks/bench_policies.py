@@ -83,8 +83,9 @@ def policy_workload(quick: bool) -> tuple[FleetConfig, Scenario]:
     start flowing ~3.7 s in, once enrollment and the CA batch drain),
     then shard 0 fails and rejoins — so every decision point (assign,
     migrate, rekey, failover) is live.  ``migrate_threshold`` stays
-    unset: it would conflict with the ``utilisation-rebalance`` bundle
-    (see :func:`repro.fleet.bundle_conflict`), and the sweep needs one
+    unset: the ``utilisation-rebalance`` bundle rejects an explicit
+    threshold (its rules replace it; see
+    :func:`repro.fleet.resolve_policies`), and the sweep needs one
     config valid under every bundle.
     """
     config = FleetConfig(

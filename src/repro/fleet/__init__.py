@@ -53,7 +53,6 @@ from .scenario import (
 )
 from .parallel import PartitionPlan, partition_plan
 from .policy import (
-    BUNDLE_OVERRIDES,
     DECISION_POINTS,
     Decision,
     FailoverSpread,
@@ -73,7 +72,6 @@ from .policy import (
     ThresholdRebalance,
     UtilisationRebalance,
     VehicleView,
-    bundle_conflict,
     load_policy,
     policy_dict,
     policy_json,
@@ -100,7 +98,6 @@ from .topology import (
 from .vehicle import TimelineEvent, Vehicle
 
 __all__ = [
-    "BUNDLE_OVERRIDES",
     "BehaviorProfile",
     "BurstArrivals",
     "CaQueueFlood",
@@ -148,7 +145,6 @@ __all__ = [
     "UtilisationRebalance",
     "Vehicle",
     "VehicleView",
-    "bundle_conflict",
     "compile_scenario",
     "get_scenario",
     "load_policy",

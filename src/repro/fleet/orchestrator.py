@@ -71,6 +71,7 @@ from ..errors import (
     AuthenticationError,
     CertificateError,
     ConfigError,
+    PolicyError,
     ScenarioError,
     SimulationError,
 )
@@ -96,7 +97,6 @@ from .parallel import (
     partition_plan,
 )
 from .policy import (
-    SHARD_POLICIES,
     FleetState,
     PolicyEngine,
     ShardView,
@@ -201,10 +201,9 @@ class FleetConfig:
         workers: worker *processes* the run executes on.  ``1`` (the
             default) runs every shard in-process, as one partition.
             ``workers > 1`` partitions the gateway shards round-robin
-            across worker processes when the
-            configuration is provably shard-independent (static-hash
-            placement, ``shards >= 2``, no V2V, no failover/rejoin, no
-            re-balancing, no roaming profiles, no stale-cert floods —
+            across worker processes when the configuration is provably
+            shard-independent (``shards >= 2``, no V2V, no
+            failover/rejoin, every resolved policy rule shard-local —
             see :func:`repro.fleet.parallel.partition_plan`); each
             worker simulates only its shards' event streams and the
             barrier merge reproduces the single-worker
@@ -227,10 +226,12 @@ class FleetConfig:
             evaluates at the run's decision points (shard assignment,
             migration, re-key cadence, failover adoption).  ``None``
             selects the ``default`` bundle — the extracted legacy
-            strategies, bit-identical to every historical digest.  A
-            bundle that overrides an explicitly-set knob (e.g.
-            ``utilisation-rebalance`` with ``migrate_threshold``) is
-            rejected here as a :class:`~repro.errors.ConfigError`.
+            strategies, bit-identical to every historical digest.  The
+            config resolves the bundle's rules once, so anything they
+            reject — an unknown bundle or shard policy, a threshold
+            below 1, or a knob the bundle would silently drop (e.g.
+            ``utilisation-rebalance`` with ``migrate_threshold``) — is
+            a :class:`~repro.errors.ConfigError` here.
 
     Examples:
         Configs are validated eagerly with actionable errors::
@@ -333,11 +334,6 @@ class FleetConfig:
             raise ConfigError(
                 f"fleet needs at least one gateway shard, got {self.shards}"
             )
-        if self.shard_policy not in SHARD_POLICIES:
-            raise ConfigError(
-                f"unknown shard policy {self.shard_policy!r};"
-                f" have {SHARD_POLICIES}"
-            )
         if not 0.0 <= self.v2v_fraction <= 1.0:
             raise ConfigError(
                 f"v2v_fraction must be within [0, 1], got {self.v2v_fraction}"
@@ -372,34 +368,18 @@ class FleetConfig:
                     f"shard_rejoin_at_ms ({self.shard_rejoin_at_ms}) must be"
                     f" after shard_fail_at_ms ({self.shard_fail_at_ms})"
                 )
-        if self.migrate_threshold is not None:
-            if self.shards < 2:
-                raise ConfigError(
-                    "live migration needs at least two shards"
-                )
-            if self.migrate_threshold < 1:
-                raise ConfigError(
-                    f"migrate_threshold must be positive,"
-                    f" got {self.migrate_threshold}"
-                )
+        if self.migrate_threshold is not None and self.shards < 2:
+            raise ConfigError("live migration needs at least two shards")
         if self.backend is not None and self.backend not in available_backends():
             raise ConfigError(
                 f"unknown crypto backend {self.backend!r};"
                 f" have {sorted(available_backends())}"
             )
-        if self.policy is not None:
-            # Late import: repro.fleet.policy imports topology, which this
-            # module also imports — the registry is only needed here.
-            from .policy import POLICY_BUNDLES, bundle_conflict
-
-            if self.policy not in POLICY_BUNDLES:
-                raise ConfigError(
-                    f"unknown policy bundle {self.policy!r};"
-                    f" have {sorted(POLICY_BUNDLES)}"
-                )
-            conflict = bundle_conflict(self.policy, self)
-            if conflict is not None:
-                raise ConfigError(conflict)
+        try:
+            # The bundle's rules validate the strategy knobs they read.
+            resolve_policies(self)
+        except PolicyError as exc:
+            raise ConfigError(str(exc)) from exc
         get_protocol(self.protocol)  # fail fast on unknown names
 
 
@@ -502,14 +482,6 @@ class FleetOrchestrator:
                 policy=policy,
                 clock=clock,
             )
-        # Legacy single-gateway aliases (shard 0); the degenerate fleet is
-        # exactly the PR 1 deployment, so these keep the original API.
-        self.ca = self.shards[0].ca
-        self.ca_resource = self.shards[0].resource
-        self.gateway_credential = self.shards[0].gateway_credential
-        self.gateway_id = self.shards[0].gateway_id
-        self.gateway_manager = self.shards[0].manager
-        self._gateway_pool = self.shards[0].pool
         if self.schedule is None:
             # One authoritative implementation of the legacy jitter
             # stream: UniformArrivals replays it bit-identically (pinned
@@ -1795,6 +1767,14 @@ class FleetOrchestrator:
             raise SimulationError(
                 f"fleet run ended with unfinished V2V pairs:"
                 f" {unfinished_pairs[:5]}"
+            )
+        strays = [v.name for v in mine if v.shard not in owned]
+        if strays:
+            # Only a rule that declares shard_local wrongly gets here.
+            raise SimulationError(
+                f"vehicles left partition {sorted(owned)}: {strays[:5]};"
+                " a shard_local rule must keep each vehicle on its"
+                " static_hash_index shard"
             )
         return WorkerSnapshot(
             owned=tuple(sorted(owned)),

@@ -29,17 +29,21 @@ What makes a configuration partitionable
 ----------------------------------------
 
 :func:`partition_plan` returns a plan only when shard event streams are
-provably independent: static-hash placement (assignment is a pure
-function of the vehicle identity / scenario pin), at least two shards,
-no V2V pairings (cross-shard sessions), no failover/rejoin (handovers
-move vehicles between shards and bump chain epochs), no live
-re-balancing and no roaming profiles (load-driven migrations), and no
-stale-cert floods (they require a failover).  Everything else — replay
-storms, CA-queue floods, burst/diurnal/Poisson arrivals, convoy pins,
-behavior profiles — stays per-shard and parallelises.  Configurations
-that fail the check run in-process as one partition owning every shard;
-its snapshot folds through the same :func:`_merge`, so every run — with
-or without workers — exercises the merge laws.
+provably independent: at least two shards, no V2V pairings (cross-shard
+sessions), no failover/rejoin (handovers move vehicles between shards
+and bump chain epochs; a stale-cert flood only compiles with a
+rejoin), and a strategy whose rules, as
+:func:`~repro.fleet.policy.resolve_policies` returns them, all declare
+``shard_local``.  Static-hash placement (a pure function of the vehicle
+identity or scenario pin) and the session-expiry re-key do; load-driven
+placement, re-balancing, roaming, the storm-window re-key (it reads the
+fleet-wide storm clock), failover spreading and any undeclared rule do
+not.  Everything else — replay storms, CA-queue floods,
+burst/diurnal/Poisson arrivals, convoy pins, behavior profiles — stays
+per-shard and parallelises.  Configurations that fail the check run
+in-process as one partition owning every shard; its snapshot folds
+through the same :func:`_merge`, so every run — with or without
+workers — exercises the merge laws.
 
 Supervision and transport integrity
 -----------------------------------
@@ -73,7 +77,7 @@ from dataclasses import dataclass
 
 from ..backend import get_backend, use_backend
 from ..errors import SimulationError
-from .scenario import StaleCertFlood
+from .policy import resolve_policies
 from .stats import (
     ExactSum,
     FleetStats,
@@ -210,37 +214,13 @@ def partition_plan(config, schedule) -> PartitionPlan | None:
         return None
     if config.shards < 2:
         return None
-    if config.shard_policy != "static-hash":
-        # round-robin / least-loaded assignment depends on the dynamic
-        # arrival interleaving across shards.
-        return None
     if config.v2v_fraction > 0.0:
         return None
     if config.shard_fail_at_ms is not None:
         return None
-    if config.migrate_threshold is not None:
+    rules = resolve_policies(config, schedule)
+    if not all(getattr(rule, "shard_local", False) for rule in rules):
         return None
-    if config.policy not in (None, "default"):
-        # Alternative bundles may migrate on cross-shard load signals
-        # (utilisation re-balancing, failover spreading), coupling the
-        # shard streams; the default bundle is the extracted legacy
-        # strategies, independent under the remaining guards.
-        return None
-    if schedule is not None:
-        if schedule.scenario.policies:
-            # Scenario-shipped rules are arbitrary plugins — assume
-            # coupled.
-            return None
-        if any(
-            profile.roam_every is not None
-            for profile in schedule.profiles.values()
-        ):
-            return None
-        if any(
-            isinstance(spec, StaleCertFlood)
-            for spec in schedule.injections
-        ):
-            return None
     workers = min(config.workers, config.shards)
     owned: list[list[int]] = [[] for _ in range(workers)]
     for shard in range(config.shards):

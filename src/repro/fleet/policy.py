@@ -34,10 +34,13 @@ possible:
   stream.
 
 Custom rules ship with a scenario (``Scenario.policies``) or are grouped
-into named **bundles** selected by ``FleetConfig.policy``.  A bundle
-that overrides an explicit config knob (``utilisation-rebalance``
-replaces ``migrate_threshold``) is rejected at config-validation time
-instead of silently preferring one — see :data:`BUNDLE_OVERRIDES`.
+into named **bundles** selected by ``FleetConfig.policy``.  The rule
+tuple :func:`resolve_policies` returns owns a run's strategy:
+``FleetConfig`` resolves it at construction (anything the rules reject,
+such as ``migrate_threshold`` under ``utilisation-rebalance``, which
+would silently drop it, is a :class:`~repro.errors.ConfigError`), and
+:func:`~repro.fleet.parallel.partition_plan` splits a run across
+workers only when every resolved rule declares ``shard_local``.
 
 >>> from repro.fleet.policy import ThresholdRebalance, load_policy, policy_dict
 >>> rule = ThresholdRebalance(threshold=2)
@@ -62,7 +65,6 @@ __all__ = [
     "POLICY_STATIC_HASH",
     "POLICY_BUNDLES",
     "POLICY_RULES",
-    "BUNDLE_OVERRIDES",
     "Decision",
     "FailoverSpread",
     "FleetState",
@@ -76,7 +78,6 @@ __all__ = [
     "ThresholdRebalance",
     "UtilisationRebalance",
     "VehicleView",
-    "bundle_conflict",
     "load_policy",
     "policy_dict",
     "policy_json",
@@ -203,7 +204,12 @@ def register_policy(kind: str):
     The decorated class must be a (frozen) dataclass with a ``point``
     class attribute naming one of :data:`DECISION_POINTS` and an
     ``evaluate(state, memory)`` method.  Registration makes the kind
-    loadable by :func:`load_policy` and usable in scenario specs.
+    loadable by :func:`load_policy` and usable in scenario specs.  A
+    class whose decisions read nothing that differs between one shard
+    partition and the whole run may set ``shard_local = True``; without
+    it a run that installs the rule never splits across workers.  An
+    ``assign`` rule that sets it must place by :func:`static_hash_index`,
+    which workers use to predict each arrival's shard.
     """
     if not kind or not isinstance(kind, str):
         raise PolicyError(f"policy rule kind must be a non-empty string, got {kind!r}")
@@ -237,6 +243,54 @@ def policy_json(rule) -> str:
     return json.dumps(policy_dict(rule), sort_keys=True)
 
 
+def _json_object(data, what: str, error: type) -> dict:
+    """``data`` as a mapping, parsed first when it is a JSON string."""
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise error(
+                f"{what} payload is not valid JSON ({exc.msg})"
+            ) from exc
+    if not isinstance(data, dict):
+        raise error(
+            f"{what} payload must be an object, got {type(data).__name__}"
+        )
+    return data
+
+
+def _load_kinded(data, registry: dict, what: str, error: type):
+    """Build one kinded spec dataclass from a mapping or its JSON string.
+
+    ``data["kind"]`` picks the class from ``registry``; the other keys
+    are its fields.  Malformed JSON, an unknown kind, an unknown or
+    missing field, or a value the spec rejects raises ``error`` naming
+    ``what``, the kind and the offending fields.  Policy rules and
+    scenario parts load through it, differing only in ``error``.
+    """
+    data = _json_object(data, what, error)
+    kind = data.get("kind")
+    cls = registry.get(kind)
+    if cls is None:
+        raise error(
+            f"unknown {what} kind {kind!r} (known: {sorted(registry)})"
+        )
+    params = {key: value for key, value in data.items() if key != "kind"}
+    known = {field_.name for field_ in fields(cls)}
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise error(
+            f"{what} {kind!r} got unknown parameters {unknown}"
+            f" (accepts: {sorted(known)})"
+        )
+    try:
+        return cls(**params)
+    except (TypeError, ValueError) as exc:
+        # A missing field, or a value of the wrong type failing the
+        # spec's own checks.
+        raise error(f"{what} {kind!r} rejects {params}: {exc}") from exc
+
+
 def load_policy(data):
     """Load one policy rule from a dict or JSON string.
 
@@ -244,36 +298,7 @@ def load_policy(data):
     :class:`~repro.errors.PolicyError` naming the offending kind or
     parameter.
     """
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise PolicyError(
-                f"policy payload is not valid JSON ({exc.msg})"
-            ) from exc
-    if not isinstance(data, dict):
-        raise PolicyError(
-            f"policy payload must be an object, got {type(data).__name__}"
-        )
-    kind = data.get("kind")
-    cls = POLICY_RULES.get(kind)
-    if cls is None:
-        raise PolicyError(
-            f"unknown policy rule kind {kind!r}"
-            f" (known: {sorted(POLICY_RULES)})"
-        )
-    params = {key: value for key, value in data.items() if key != "kind"}
-    known = {field_.name for field_ in fields(cls)}
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise PolicyError(
-            f"policy rule {kind!r} got unknown parameters {unknown}"
-            f" (accepts: {sorted(known)})"
-        )
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise PolicyError(f"policy rule {kind!r}: {exc}") from exc
+    return _load_kinded(data, POLICY_RULES, "policy rule", PolicyError)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +317,12 @@ class ShardPolicyAssign:
     """
 
     point = "assign"
-    overrides = ()
     policy: str = POLICY_STATIC_HASH
+
+    @property
+    def shard_local(self) -> bool:
+        """Only ``static-hash`` places without fleet-wide loads or counters."""
+        return self.policy == POLICY_STATIC_HASH
 
     def __post_init__(self) -> None:
         if self.policy not in SHARD_POLICIES:
@@ -331,7 +360,6 @@ class RoamCadence:
     """
 
     point = "migrate"
-    overrides = ()
 
     def evaluate(self, state: FleetState, memory: dict) -> Decision | None:
         """Roam to the next alive shard when the cadence is hit."""
@@ -368,7 +396,6 @@ class ThresholdRebalance:
     """
 
     point = "migrate"
-    overrides = ()
     threshold: int = 1
 
     def __post_init__(self) -> None:
@@ -413,7 +440,7 @@ class SessionExpiryRekey:
     """
 
     point = "rekey"
-    overrides = ()
+    shard_local = True
 
     def evaluate(self, state: FleetState, memory: dict) -> Decision | None:
         """Re-key exactly when the managers report the budget spent."""
@@ -440,7 +467,6 @@ class UtilisationRebalance:
     """
 
     point = "migrate"
-    overrides = ("migrate_threshold",)
     max_utilisation: float = 0.8
 
     def __post_init__(self) -> None:
@@ -492,7 +518,6 @@ class StormRekey:
     """
 
     point = "rekey"
-    overrides = ()
     window_ms: float = 2000.0
     budget: int = 4
 
@@ -530,7 +555,6 @@ class FailoverSpread:
     """
 
     point = "failover"
-    overrides = ()
 
     def evaluate(self, state: FleetState, memory: dict) -> Decision | None:
         """Adopt an orphaned vehicle onto the least-loaded alive shard."""
@@ -570,6 +594,16 @@ def _default_rules(config, schedule) -> tuple:
 
 
 def _utilisation_rules(config, schedule) -> tuple:
+    if config.migrate_threshold is not None:
+        # The bundle replaces the threshold re-balancer; an explicit
+        # threshold would be silently ignored.
+        raise PolicyError(
+            "policy bundle 'utilisation-rebalance' overrides"
+            " migrate_threshold, but"
+            f" migrate_threshold={config.migrate_threshold!r} was also set"
+            " explicitly; drop migrate_threshold or select a bundle that"
+            " honors it"
+        )
     rules = [ShardPolicyAssign(policy=config.shard_policy)]
     if _wants_roam(schedule):
         rules.append(RoamCadence())
@@ -598,31 +632,6 @@ POLICY_BUNDLES = {
     "failover-spread": _failover_spread_rules,
 }
 
-#: Config knobs each bundle replaces with its own strategy.  Setting
-#: the knob explicitly *and* selecting the bundle is ambiguous and is
-#: rejected by ``FleetConfig`` validation (see :func:`bundle_conflict`).
-BUNDLE_OVERRIDES = {
-    "utilisation-rebalance": ("migrate_threshold",),
-}
-
-
-def bundle_conflict(name: str, config) -> str | None:
-    """The conflict message for ``config`` + bundle ``name``, or None.
-
-    A bundle listed in :data:`BUNDLE_OVERRIDES` replaces the named
-    config knobs; an explicitly-set knob alongside it would be silently
-    ignored, so the combination is reported as a conflict instead.
-    """
-    for knob in BUNDLE_OVERRIDES.get(name, ()):
-        value = getattr(config, knob)
-        if value is not None:
-            return (
-                f"policy bundle {name!r} overrides {knob}, but"
-                f" {knob}={value!r} was also set explicitly;"
-                f" drop {knob} or select a bundle that honors it"
-            )
-    return None
-
 
 def resolve_policies(config, schedule=None) -> tuple:
     """The rule tuple a run executes: scenario rules, then the bundle.
@@ -630,7 +639,9 @@ def resolve_policies(config, schedule=None) -> tuple:
     Scenario-shipped rules (``Scenario.policies``) come first so they
     can pre-empt the bundle at shared decision points; the bundle named
     by ``config.policy`` (``None`` means ``default``) supplies the
-    baseline strategies after them.
+    baseline strategies after them.  An unknown bundle, a knob the
+    bundle would silently drop, or a knob its rules reject raises
+    :class:`~repro.errors.PolicyError`.
     """
     name = config.policy or "default"
     factory = POLICY_BUNDLES.get(name)
@@ -639,9 +650,6 @@ def resolve_policies(config, schedule=None) -> tuple:
             f"unknown policy bundle {name!r}"
             f" (known: {sorted(POLICY_BUNDLES)})"
         )
-    conflict = bundle_conflict(name, config)
-    if conflict is not None:
-        raise PolicyError(conflict)
     scenario_rules = ()
     if schedule is not None:
         scenario_rules = tuple(schedule.scenario.policies)

@@ -49,7 +49,13 @@ from dataclasses import dataclass, field, fields
 
 from ..errors import ScenarioError
 from ..primitives import sha256
-from .policy import POLICY_RULES, load_policy, policy_dict
+from .policy import (
+    POLICY_RULES,
+    _json_object,
+    _load_kinded,
+    load_policy,
+    policy_dict,
+)
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -529,17 +535,6 @@ def _spec_dict(spec) -> dict:
     return data
 
 
-def _load_kinded(data: dict, registry: dict, what: str):
-    """Rebuild a kinded spec dataclass from its mapping."""
-    payload = dict(data)
-    kind = payload.pop("kind", None)
-    if kind not in registry:
-        raise ScenarioError(
-            f"unknown {what} kind {kind!r}; have {sorted(registry)}"
-        )
-    return registry[kind](**payload)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One declarative workload: arrivals + behavior profiles + injections.
@@ -645,16 +640,14 @@ class Scenario:
 def load_scenario(data: "dict | str") -> Scenario:
     """Rebuild a :class:`Scenario` from :meth:`Scenario.as_dict` output.
 
-    Accepts the mapping itself or its JSON string.  Unknown kinds and
-    unknown fields raise :class:`~repro.errors.ScenarioError` /
-    ``TypeError`` rather than being silently dropped.
+    Accepts the mapping itself or its JSON string.  Malformed JSON, an
+    unknown kind, and an arrival process, profile or injection with an
+    unknown field, a missing required field or a value of the wrong
+    type raise :class:`~repro.errors.ScenarioError` naming the part's
+    kind and the field, rather than being silently dropped; malformed
+    policy rules raise :class:`~repro.errors.PolicyError` the same way.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ScenarioError(
-            f"scenario payload must be a mapping, got {type(data).__name__}"
-        )
+    data = _json_object(data, "scenario", ScenarioError)
     return Scenario(
         name=data.get("name", ""),
         description=data.get("description", ""),
@@ -662,15 +655,19 @@ def load_scenario(data: "dict | str") -> Scenario:
             data.get("arrivals", {"kind": "uniform"}),
             ARRIVAL_KINDS,
             "arrival process",
+            ScenarioError,
         ),
         profiles=tuple(
             _load_kinded(
-                payload, {BehaviorProfile.kind: BehaviorProfile}, "profile"
+                payload,
+                {BehaviorProfile.kind: BehaviorProfile},
+                "profile",
+                ScenarioError,
             )
             for payload in data.get("profiles", [])
         ),
         injections=tuple(
-            _load_kinded(payload, INJECTION_KINDS, "injection")
+            _load_kinded(payload, INJECTION_KINDS, "injection", ScenarioError)
             for payload in data.get("injections", [])
         ),
         policies=tuple(
@@ -715,11 +712,6 @@ class ScenarioSchedule:
             (profile.name, self.profile_of.count(profile.name))
             for profile in self.scenario.profiles
         )
-
-    @property
-    def is_adversarial(self) -> bool:
-        """True when the schedule carries at least one injection."""
-        return bool(self.injections)
 
     def profile_for(self, index: int) -> "CompiledProfile | None":
         """The resolved profile of vehicle ``index`` (None = default)."""

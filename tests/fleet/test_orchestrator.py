@@ -189,5 +189,5 @@ class TestConfigValidation:
         orchestrator = FleetOrchestrator(
             FleetConfig(n_vehicles=1, seed=b"expose")
         )
-        assert orchestrator.ca_resource.name == "central-ca"
-        assert orchestrator.gateway_manager.role == "B"
+        assert orchestrator.shards[0].resource.name == "central-ca"
+        assert orchestrator.shards[0].manager.role == "B"

@@ -10,6 +10,7 @@ in-process partition rather than silently diverging.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -18,12 +19,21 @@ import pytest
 
 from repro.errors import ConfigError, ScenarioError, SimulationError
 from repro.fleet import (
+    NAMED_SCENARIOS,
+    POLICY_BUNDLES,
+    POLICY_RULES,
+    SHARD_POLICIES,
+    Decision,
     FleetConfig,
     FleetOrchestrator,
     ReplayStorm,
     Scenario,
+    SessionExpiryRekey,
+    ShardPolicyAssign,
+    compile_scenario,
     get_scenario,
     partition_plan,
+    register_policy,
     run_fleet,
 )
 from repro.fleet.parallel import _checksum
@@ -82,6 +92,119 @@ class TestPartitionPlan:
         config = _base(b"plan", workers=2, n_vehicles=24)
         orch = FleetOrchestrator(config, scenario=scenario)
         assert orch._plan is None  # runs as one in-process partition
+
+    def test_decision_table_over_scenarios_bundles_and_knobs(self):
+        # Every named scenario that compiles at 4 shards x every bundle
+        # x every shard policy x threshold on/off.  A row partitions
+        # exactly when the strategy is the default bundle's static-hash
+        # placement with no threshold and no roamers.
+        serial_scenarios = {"roaming-rebalance"}  # installs roam-cadence
+        compiled, rows, mismatches = set(), 0, []
+        for name, bundle, shard_policy, threshold in itertools.product(
+            NAMED_SCENARIOS, (None, *POLICY_BUNDLES), SHARD_POLICIES, (None, 1)
+        ):
+            if bundle == "utilisation-rebalance" and threshold:
+                continue  # rejected at construction
+            config = _base(
+                b"table",
+                workers=2,
+                n_vehicles=24,
+                authenticate_requests=True,
+                policy=bundle,
+                shard_policy=shard_policy,
+                migrate_threshold=threshold,
+            )
+            try:
+                schedule = compile_scenario(get_scenario(name), config)
+            except ScenarioError:
+                continue
+            compiled.add(name)
+            rows += 1
+            expected = (
+                bundle in (None, "default")
+                and shard_policy == "static-hash"
+                and threshold is None
+                and name not in serial_scenarios
+            )
+            if (partition_plan(config, schedule) is not None) != expected:
+                mismatches.append((name, bundle, shard_policy, threshold))
+        # Only stale-cert-flood needs a rejoin this config lacks.
+        assert compiled == set(NAMED_SCENARIOS) - {"stale-cert-flood"}
+        assert rows == 8 * 27
+        assert mismatches == []
+
+    @pytest.mark.parametrize(
+        "rules",
+        [(SessionExpiryRekey(),), (ShardPolicyAssign("static-hash"),)],
+        ids=["session-expiry-rekey", "static-hash-assign"],
+    )
+    def test_scenario_of_shard_local_rules_partitions(self, rules):
+        scenario = Scenario(name="shard-local", policies=rules)
+        config = _base(b"plan-local", workers=2)
+        orch = FleetOrchestrator(config, scenario=scenario)
+        assert orch._plan is not None and orch._plan.workers == 2
+        parallel = orch.run().stats
+        serial = run_fleet(
+            dataclasses.replace(config, workers=1), scenario=scenario
+        ).stats
+        assert parallel.digest() == serial.digest()
+
+    def test_rule_without_shard_local_keeps_the_run_serial(self):
+        @dataclasses.dataclass(frozen=True)
+        class Undeclared:
+            point = "rekey"
+
+            def evaluate(self, state, memory):
+                return None
+
+        @dataclasses.dataclass(frozen=True)
+        class Declared(Undeclared):
+            shard_local = True
+
+        config = _base(b"plan-undeclared", workers=2)
+        try:
+            register_policy("test-undeclared")(Undeclared)
+            register_policy("test-declared")(Declared)
+            for rule, planned in ((Undeclared(), False), (Declared(), True)):
+                scenario = Scenario(name="custom", policies=(rule,))
+                schedule = compile_scenario(scenario, config)
+                plan = partition_plan(config, schedule)
+                assert (plan is not None) == planned
+        finally:
+            POLICY_RULES.pop("test-undeclared", None)
+            POLICY_RULES.pop("test-declared", None)
+
+    def test_misdeclared_shard_local_placement_fails_loudly(self):
+        # Declares shard_local but places by index, not static hash:
+        # workers would simulate vehicles on shards they do not own.
+        @dataclasses.dataclass(frozen=True)
+        class IndexPlacement:
+            point = "assign"
+            shard_local = True
+
+            def evaluate(self, state, memory):
+                alive = state.alive()
+                index = state.vehicle.index % len(alive)
+                return Decision(target_shard=alive[index].index)
+
+        try:
+            register_policy("test-index-placement")(IndexPlacement)
+            scenario = Scenario(name="index", policies=(IndexPlacement(),))
+            config = _base(b"plan-stray", workers=2, n_vehicles=8)
+            with pytest.raises(SimulationError, match="shard_local"):
+                run_fleet(config, scenario=scenario)
+        finally:
+            POLICY_RULES.pop("test-index-placement", None)
+
+    def test_stale_cert_flood_stays_serial(self):
+        config = _base(
+            b"plan-stale",
+            workers=2,
+            shard_fail_at_ms=1_500.0,
+            shard_rejoin_at_ms=3_000.0,
+        )
+        schedule = compile_scenario(get_scenario("stale-cert-flood"), config)
+        assert partition_plan(config, schedule) is None
 
     def test_workers_must_be_positive_int(self):
         with pytest.raises(ConfigError):

@@ -16,7 +16,6 @@ import pytest
 
 from repro.errors import ConfigError, PolicyError
 from repro.fleet import (
-    BUNDLE_OVERRIDES,
     BehaviorProfile,
     Decision,
     FailoverSpread,
@@ -34,7 +33,6 @@ from repro.fleet import (
     ThresholdRebalance,
     UtilisationRebalance,
     VehicleView,
-    bundle_conflict,
     compile_scenario,
     load_policy,
     policy_dict,
@@ -554,14 +552,6 @@ class TestBundles:
         )
         with pytest.raises(PolicyError, match="unknown policy bundle"):
             resolve_policies(config)
-
-    def test_bundle_overrides_registry_matches_conflict_check(self):
-        config = FleetConfig(shards=2, migrate_threshold=1, policy=None)
-        for name, knobs in BUNDLE_OVERRIDES.items():
-            message = bundle_conflict(name, config)
-            assert message is not None
-            for knob in knobs:
-                assert knob in message
 
 
 # -- config-level validation (the knob/bundle conflict fix) -------------------

@@ -448,6 +448,69 @@ class TestEngine:
             with pytest.raises(ScenarioError, match="kind"):
                 load_scenario(payload)
 
+    @pytest.mark.parametrize(
+        "field, bad, kind, name",
+        [
+            ("arrivals", {"kind": "poisson", "bogus": 1}, "poisson", "bogus"),
+            (
+                "profiles",
+                [{"kind": "profile", "name": "a", "count": 1, "speed": 9}],
+                "profile",
+                "speed",
+            ),
+            (
+                "injections",
+                [{"kind": "replay-storm", "at_ms": 1.0, "replay": 2}],
+                "replay-storm",
+                "replay",
+            ),
+            (
+                "profiles",
+                [{"kind": "profile", "name": "a"}],
+                "profile",
+                "count",
+            ),
+            ("injections", [{"kind": "ca-flood"}], "ca-flood", "at_ms"),
+            (
+                "arrivals",
+                {"kind": "uniform", "spread_ms": "wide"},
+                "uniform",
+                "spread_ms",
+            ),
+            (
+                "profiles",
+                [{"kind": "profile", "name": "a", "count": "many"}],
+                "profile",
+                "count",
+            ),
+            (
+                "injections",
+                [{"kind": "stale-cert-flood", "at_ms": "soon"}],
+                "stale-cert-flood",
+                "at_ms",
+            ),
+        ],
+        ids=[
+            "unknown-arrival-field",
+            "unknown-profile-field",
+            "unknown-injection-field",
+            "missing-profile-field",
+            "missing-injection-field",
+            "wrongly-typed-arrival-field",
+            "wrongly-typed-profile-field",
+            "wrongly-typed-injection-field",
+        ],
+    )
+    def test_load_scenario_names_the_bad_field(self, field, bad, kind, name):
+        payload = dict(Scenario(name="x").as_dict())
+        payload[field] = bad
+        with pytest.raises(ScenarioError, match=f"'{kind}'.*'{name}'"):
+            load_scenario(payload)
+
+    def test_load_scenario_rejects_malformed_json(self):
+        with pytest.raises(ScenarioError, match="not valid JSON"):
+            load_scenario("{nope")
+
     def test_named_scenarios_all_load(self):
         for name in NAMED_SCENARIOS:
             scenario = get_scenario(name)

@@ -70,8 +70,8 @@ class TestDegenerateParity:
         orchestrator = FleetOrchestrator(_PR1_CONFIG)
         assert orchestrator.topology.root_ca is None
         assert orchestrator.topology.trust_store is None
-        assert orchestrator.ca_resource.name == "central-ca"
-        assert orchestrator.gateway_manager is orchestrator.shards[0].manager
+        assert orchestrator.shards[0].resource.name == "central-ca"
+        assert orchestrator.shards[0].manager.role == "B"
 
 
 class TestShardedDeterminism:
