@@ -97,10 +97,12 @@ from .parallel import (
     partition_plan,
 )
 from .policy import (
+    CheckedSpec,
     FleetState,
     PolicyEngine,
     ShardView,
     VehicleView,
+    bound,
     resolve_policies,
     static_hash_index,
 )
@@ -131,7 +133,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(CheckedSpec):
     """Parameters of one fleet orchestration run.
 
     Attributes:
@@ -234,12 +236,14 @@ class FleetConfig:
             a :class:`~repro.errors.ConfigError` here.
 
     Examples:
-        Configs are validated eagerly with actionable errors::
+        Configs are validated eagerly with actionable errors.  Each
+        field's annotation and :func:`~repro.fleet.policy.bound` declare
+        what it accepts; anything else is rejected, never coerced::
 
             >>> FleetConfig(n_vehicles=0)
             Traceback (most recent call last):
                 ...
-            repro.errors.ConfigError: fleet needs at least one vehicle, got 0
+            repro.errors.ConfigError: FleetConfig: n_vehicles must be an int >= 1, got 0
             >>> FleetConfig(backend="turbo")
             Traceback (most recent call last):
                 ...
@@ -253,106 +257,43 @@ class FleetConfig:
             'accelerated'
     """
 
-    n_vehicles: int = 16
+    n_vehicles: int = bound(16, ge=1)
     seed: bytes = b"fleet-storm"
     curve: Curve = SECP256R1
     protocol: str = "sts"
-    max_age_ms: float = 600_000.0
-    max_records: int = 25
-    records_per_vehicle: int = 50
-    send_interval_ms: float = 25.0
-    arrival_spread_ms: float = 1_000.0
+    max_age_ms: float = bound(600_000.0, gt=0)
+    max_records: int = bound(25, ge=1)
+    records_per_vehicle: int = bound(50, ge=1)
+    send_interval_ms: float = bound(25.0, gt=0)
+    arrival_spread_ms: float = bound(1_000.0, ge=0)
     vehicle_device: str = "stm32f767"
     ca_device: str = "rpi4"
-    bus_ms_per_byte: float = 0.002
-    record_bytes: int = 32
-    pool_size: int = 4
-    ca_batch_limit: int = 64
-    cert_validity_seconds: int = 24 * 3600
-    shards: int = 1
+    bus_ms_per_byte: float = bound(0.002, ge=0)
+    record_bytes: int = bound(32, ge=1)
+    pool_size: int = bound(4, ge=0)
+    ca_batch_limit: int = bound(64, ge=1)
+    cert_validity_seconds: int = bound(24 * 3600, ge=1)
+    shards: int = bound(1, ge=1)
     shard_policy: str = "static-hash"
-    v2v_fraction: float = 0.0
-    v2v_records: int = 10
-    shard_fail_at_ms: float | None = None
-    fail_shard: int = 0
+    v2v_fraction: float = bound(0.0, ge=0, le=1)
+    v2v_records: int = bound(10, ge=1)
+    shard_fail_at_ms: float | None = bound(None, gt=0)
+    fail_shard: int = bound(0, ge=0)
     shard_rejoin_at_ms: float | None = None
     migrate_threshold: int | None = None
     authenticate_requests: bool = False
     backend: str | None = None
-    workers: int = 1
+    workers: int = bound(1, ge=1)
     stream: bool = False
     policy: str | None = None
 
+    error = ConfigError
+
     def __post_init__(self) -> None:
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ConfigError(
-                f"workers must be a positive integer, got {self.workers!r}"
-            )
-        if self.n_vehicles <= 0:
-            raise ConfigError(
-                f"fleet needs at least one vehicle, got {self.n_vehicles}"
-            )
-        if self.records_per_vehicle <= 0 or self.max_records <= 0:
-            raise ConfigError(
-                "record budgets must be positive, got"
-                f" records_per_vehicle={self.records_per_vehicle},"
-                f" max_records={self.max_records}"
-            )
-        if self.send_interval_ms <= 0 or self.max_age_ms <= 0:
-            raise ConfigError(
-                "intervals must be positive, got"
-                f" send_interval_ms={self.send_interval_ms},"
-                f" max_age_ms={self.max_age_ms}"
-            )
-        if self.arrival_spread_ms < 0:
-            raise ConfigError(
-                f"arrival_spread_ms must be >= 0, got {self.arrival_spread_ms}"
-            )
-        if self.record_bytes <= 0:
-            raise ConfigError(
-                f"record_bytes must be positive, got {self.record_bytes}"
-            )
-        if self.bus_ms_per_byte < 0:
-            raise ConfigError(
-                f"bus_ms_per_byte must be >= 0, got {self.bus_ms_per_byte}"
-            )
-        if self.pool_size < 0:
-            raise ConfigError(
-                f"pool_size must be >= 0 (0 disables pooling),"
-                f" got {self.pool_size}"
-            )
-        if self.ca_batch_limit <= 0:
-            raise ConfigError(
-                f"ca_batch_limit must be positive, got {self.ca_batch_limit}"
-            )
-        if self.cert_validity_seconds <= 0:
-            raise ConfigError(
-                "cert_validity_seconds must be positive,"
-                f" got {self.cert_validity_seconds}"
-            )
-        if self.shards <= 0:
-            raise ConfigError(
-                f"fleet needs at least one gateway shard, got {self.shards}"
-            )
-        if not 0.0 <= self.v2v_fraction <= 1.0:
-            raise ConfigError(
-                f"v2v_fraction must be within [0, 1], got {self.v2v_fraction}"
-            )
-        if self.v2v_records <= 0:
-            raise ConfigError(
-                f"v2v_records must be positive, got {self.v2v_records}"
-            )
-        if self.shard_fail_at_ms is not None:
-            if self.shards < 2:
-                raise ConfigError(
-                    "failover scenarios need at least two shards"
-                )
-            if self.shard_fail_at_ms <= 0:
-                raise ConfigError(
-                    f"shard_fail_at_ms must be positive,"
-                    f" got {self.shard_fail_at_ms}"
-                )
-        if not 0 <= self.fail_shard < self.shards:
+        super().__post_init__()
+        if self.shard_fail_at_ms is not None and self.shards < 2:
+            raise ConfigError("failover scenarios need at least two shards")
+        if self.fail_shard >= self.shards:
             raise ConfigError(
                 f"fail_shard {self.fail_shard} out of range for"
                 f" {self.shards} shard(s)"
@@ -380,7 +321,10 @@ class FleetConfig:
             resolve_policies(self)
         except PolicyError as exc:
             raise ConfigError(str(exc)) from exc
-        get_protocol(self.protocol)  # fail fast on unknown names
+        # Fail fast on unknown names.
+        get_protocol(self.protocol)
+        get_device(self.vehicle_device)
+        get_device(self.ca_device)
 
 
 @dataclass

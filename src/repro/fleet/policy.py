@@ -42,6 +42,13 @@ would silently drop it, is a :class:`~repro.errors.ConfigError`), and
 :func:`~repro.fleet.parallel.partition_plan` splits a run across
 workers only when every resolved rule declares ``shard_local``.
 
+Spec fields are checked in one place.  A rule with knobs subclasses
+:class:`CheckedSpec` and declares each knob's type by annotation and its
+range with :func:`bound`; construction rejects anything else with a
+:class:`~repro.errors.PolicyError` naming the rule and the knob.  The
+scenario parts and :class:`~repro.fleet.FleetConfig` use the same check
+with their own error types.
+
 >>> from repro.fleet.policy import ThresholdRebalance, load_policy, policy_dict
 >>> rule = ThresholdRebalance(threshold=2)
 >>> policy_dict(rule)
@@ -52,8 +59,12 @@ True
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, fields, replace
+import math
+import operator
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from ..errors import PolicyError
 from ..primitives import sha256
@@ -65,6 +76,7 @@ __all__ = [
     "POLICY_STATIC_HASH",
     "POLICY_BUNDLES",
     "POLICY_RULES",
+    "CheckedSpec",
     "Decision",
     "FailoverSpread",
     "FleetState",
@@ -78,6 +90,7 @@ __all__ = [
     "ThresholdRebalance",
     "UtilisationRebalance",
     "VehicleView",
+    "bound",
     "load_policy",
     "policy_dict",
     "policy_json",
@@ -285,10 +298,113 @@ def _load_kinded(data, registry: dict, what: str, error: type):
         )
     try:
         return cls(**params)
-    except (TypeError, ValueError) as exc:
-        # A missing field, or a value of the wrong type failing the
-        # spec's own checks.
+    except (TypeError, error) as exc:
+        # A missing field, or a value the spec's own checks reject.
         raise error(f"{what} {kind!r} rejects {params}: {exc}") from exc
+
+
+def bound(default=MISSING, *, ge=None, gt=None, le=None):
+    """Declare a spec field's range once, on the field.
+
+    ``ge`` and ``gt`` are an inclusive and an exclusive lower bound,
+    ``le`` an inclusive upper bound; the annotation gives the type.
+    :class:`CheckedSpec` enforces both at construction.
+    """
+    limits = {"ge": ge, "gt": gt, "le": le}
+    return field(
+        default=default,
+        metadata={"bound": {k: v for k, v in limits.items() if v is not None}},
+    )
+
+
+_COMPARE = {"ge": operator.ge, "gt": operator.gt, "le": operator.le}
+_SIGN = {"ge": ">=", "gt": ">", "le": "<="}
+_NOUN = {int: "an int", float: "a finite number", bool: "a bool",
+         str: "a str", bytes: "bytes"}
+
+
+def _expectation(kind: type, optional: bool, limits: dict) -> str:
+    """What a field accepts, in words: ``an int >= 1``."""
+    text = _NOUN.get(kind, f"a {kind.__name__}")
+    if len(limits) == 2 and "le" in limits:
+        low = "ge" if "ge" in limits else "gt"
+        opening = "[" if low == "ge" else "("
+        text += f" in {opening}{limits[low]}, {limits['le']}]"
+    else:
+        for op, limit in limits.items():
+            text += f" {_SIGN[op]} {limit}"
+    return text + " or None" if optional else text
+
+
+def _fits(kind: type, value) -> bool:
+    """Whether ``value`` has the declared type; nothing is coerced.
+
+    A ``bool`` is only a ``bool``, and a ``float`` field takes a finite
+    ``int`` or ``float``.
+    """
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, int) or (
+            isinstance(value, float) and math.isfinite(value)
+        )
+    return isinstance(value, kind)
+
+
+@functools.cache
+def _declarations(cls) -> tuple:
+    """``(name, kind, optional, comparisons, expectation)`` per field."""
+    hints = typing.get_type_hints(cls)
+    table = []
+    for spec_field in fields(cls):
+        hint = hints[spec_field.name]
+        # ``X | None`` declares an optional ``X``.
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        kind = args[0] if args else hint
+        optional = kind is not hint
+        limits = spec_field.metadata.get("bound", {})
+        table.append((
+            spec_field.name,
+            kind,
+            optional,
+            tuple((_COMPARE[op], limit) for op, limit in limits.items()),
+            _expectation(kind, optional, limits),
+        ))
+    return tuple(table)
+
+
+class CheckedSpec:
+    """Base of the fleet specs: every field is checked against its declaration.
+
+    Construction checks each field's value against its annotation (an
+    ``int``, a finite number, a ``bool``, a ``str``, ``bytes`` or a
+    class; ``None`` only where the annotation allows it) and its
+    :func:`bound`, and raises the class's ``error`` naming the spec and
+    the field.  Policy rules raise :class:`~repro.errors.PolicyError`;
+    scenario parts and :class:`~repro.fleet.FleetConfig` set their own
+    ``error``.  A subclass's own ``__post_init__`` calls this one first
+    and adds only the checks that span fields or name a registry.
+    """
+
+    error = PolicyError
+
+    def _owner(self) -> str:
+        """How messages name the spec: its kind, else its class."""
+        return getattr(self, "kind", type(self).__name__)
+
+    def __post_init__(self) -> None:
+        declarations = _declarations(type(self))
+        for name, kind, optional, comparisons, expected in declarations:
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if not _fits(kind, value) or not all(
+                compare(value, limit) for compare, limit in comparisons
+            ):
+                raise self.error(
+                    f"{self._owner()}: {name} must be {expected},"
+                    f" got {value!r}"
+                )
 
 
 def load_policy(data):
@@ -387,7 +503,7 @@ class RoamCadence:
 
 @register_policy("threshold-rebalance")
 @dataclass(frozen=True)
-class ThresholdRebalance:
+class ThresholdRebalance(CheckedSpec):
     """Imbalance-triggered migration — the legacy ``migrate_threshold``.
 
     Bit-identical extraction of the orchestrator's ``_maybe_migrate``:
@@ -396,14 +512,7 @@ class ThresholdRebalance:
     """
 
     point = "migrate"
-    threshold: int = 1
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.threshold, int) or self.threshold < 1:
-            raise PolicyError(
-                "threshold-rebalance: threshold must be an int >= 1,"
-                f" got {self.threshold!r}"
-            )
+    threshold: int = bound(1, ge=1)
 
     def evaluate(self, state: FleetState, memory: dict) -> Decision | None:
         """Migrate to the least-loaded shard past the head-count gap."""
@@ -455,7 +564,7 @@ class SessionExpiryRekey:
 
 @register_policy("utilisation-rebalance")
 @dataclass(frozen=True)
-class UtilisationRebalance:
+class UtilisationRebalance(CheckedSpec):
     """Migrate vehicles off any shard above ``max_utilisation``.
 
     Alternative to :class:`ThresholdRebalance`: instead of a fixed
@@ -467,14 +576,7 @@ class UtilisationRebalance:
     """
 
     point = "migrate"
-    max_utilisation: float = 0.8
-
-    def __post_init__(self) -> None:
-        if not (0.0 < float(self.max_utilisation) <= 1.0):
-            raise PolicyError(
-                "utilisation-rebalance: max_utilisation must be in (0, 1],"
-                f" got {self.max_utilisation!r}"
-            )
+    max_utilisation: float = bound(0.8, gt=0, le=1)
 
     def evaluate(self, state: FleetState, memory: dict) -> Decision | None:
         """Migrate off an over-utilised shard (with per-vehicle cool-down)."""
@@ -505,7 +607,7 @@ class UtilisationRebalance:
 
 @register_policy("storm-rekey")
 @dataclass(frozen=True)
-class StormRekey:
+class StormRekey(CheckedSpec):
     """Tighten the re-key budget while a replay storm is active.
 
     For ``window_ms`` after an adversarial replay-storm injection
@@ -518,18 +620,8 @@ class StormRekey:
     """
 
     point = "rekey"
-    window_ms: float = 2000.0
-    budget: int = 4
-
-    def __post_init__(self) -> None:
-        if not (float(self.window_ms) > 0.0):
-            raise PolicyError(
-                f"storm-rekey: window_ms must be > 0, got {self.window_ms!r}"
-            )
-        if not isinstance(self.budget, int) or self.budget < 1:
-            raise PolicyError(
-                f"storm-rekey: budget must be an int >= 1, got {self.budget!r}"
-            )
+    window_ms: float = bound(2000.0, gt=0)
+    budget: int = bound(4, ge=1)
 
     def evaluate(self, state: FleetState, memory: dict) -> Decision | None:
         """Re-key early while inside an active replay-storm window."""

@@ -37,7 +37,11 @@ therefore its :class:`~repro.fleet.stats.FleetStats` digests — bit for
 bit.
 
 Specs round-trip through JSON losslessly: ``load_scenario(s.as_dict())
-== s`` and ``load_scenario(json.dumps(s.as_dict())) == s``.
+== s`` and ``load_scenario(json.dumps(s.as_dict())) == s``.  Each part
+declares a field's type by annotation and its range with
+:func:`~repro.fleet.policy.bound`; construction checks both (a ``bool``
+is no count, NaN no time, nothing is coerced) and raises a
+:class:`~repro.errors.ScenarioError` naming the part and the field.
 """
 
 from __future__ import annotations
@@ -51,8 +55,10 @@ from ..errors import ScenarioError
 from ..primitives import sha256
 from .policy import (
     POLICY_RULES,
+    CheckedSpec,
     _json_object,
     _load_kinded,
+    bound,
     load_policy,
     policy_dict,
 )
@@ -89,11 +95,17 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+class _Part(CheckedSpec):
+    """A scenario part; its field checks raise ``ScenarioError``."""
+
+    error = ScenarioError
+
+
 # -- arrival processes ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class UniformArrivals:
+class UniformArrivals(_Part):
     """Legacy arrivals: uniform jitter over ``[0, spread_ms)``.
 
     With ``spread_ms=None`` the spread comes from
@@ -107,16 +119,9 @@ class UniformArrivals:
             config's ``arrival_spread_ms``).
     """
 
-    spread_ms: float | None = None
+    spread_ms: float | None = bound(None, ge=0)
 
     kind = "uniform"
-
-    def __post_init__(self) -> None:
-        if self.spread_ms is not None:
-            _require(
-                self.spread_ms >= 0.0,
-                f"uniform arrivals need spread_ms >= 0, got {self.spread_ms}",
-            )
 
     def compile(self, config) -> tuple[float, ...]:
         """Per-vehicle arrival times, replaying the legacy jitter stream."""
@@ -132,22 +137,16 @@ class UniformArrivals:
 
 
 @dataclass(frozen=True)
-class PoissonArrivals:
+class PoissonArrivals(_Part):
     """Memoryless arrivals: exponential inter-arrival gaps.
 
     Attributes:
         rate_per_s: mean arrivals per simulated second (> 0).
     """
 
-    rate_per_s: float = 50.0
+    rate_per_s: float = bound(50.0, gt=0)
 
     kind = "poisson"
-
-    def __post_init__(self) -> None:
-        _require(
-            self.rate_per_s > 0.0,
-            f"poisson arrivals need rate_per_s > 0, got {self.rate_per_s}",
-        )
 
     def compile(self, config) -> tuple[float, ...]:
         """Cumulative exponential gaps drawn from the scenario stream."""
@@ -162,7 +161,7 @@ class PoissonArrivals:
 
 
 @dataclass(frozen=True)
-class BurstArrivals:
+class BurstArrivals(_Part):
     """Rush-hour waves: the fleet arrives in ``waves`` separated bursts.
 
     Vehicles are split into contiguous index blocks, one per wave; wave
@@ -177,26 +176,14 @@ class BurstArrivals:
         wave_spread_ms: jitter window within a wave (>= 0).
     """
 
-    waves: int = 3
-    wave_interval_ms: float = 500.0
-    wave_spread_ms: float = 100.0
+    waves: int = bound(3, ge=1)
+    wave_interval_ms: float = bound(500.0, gt=0)
+    wave_spread_ms: float = bound(100.0, ge=0)
 
     kind = "burst"
 
     def __post_init__(self) -> None:
-        _require(
-            self.waves >= 1, f"burst arrivals need waves >= 1, got {self.waves}"
-        )
-        _require(
-            self.wave_interval_ms > 0.0,
-            f"burst arrivals need wave_interval_ms > 0,"
-            f" got {self.wave_interval_ms}",
-        )
-        _require(
-            self.wave_spread_ms >= 0.0,
-            f"burst arrivals need wave_spread_ms >= 0,"
-            f" got {self.wave_spread_ms}",
-        )
+        super().__post_init__()
         _require(
             self.wave_spread_ms <= self.wave_interval_ms,
             f"burst waves overlap: wave_spread_ms {self.wave_spread_ms} >"
@@ -219,7 +206,7 @@ class BurstArrivals:
 
 
 @dataclass(frozen=True)
-class DiurnalArrivals:
+class DiurnalArrivals(_Part):
     """A diurnal intensity ramp over one period.
 
     Arrival intensity follows ``1 + amplitude * sin(2*pi*t/T - pi/2)`` —
@@ -232,20 +219,10 @@ class DiurnalArrivals:
         amplitude: peak-to-mean intensity swing in ``[0, 1]``.
     """
 
-    period_ms: float = 2_000.0
-    amplitude: float = 0.9
+    period_ms: float = bound(2_000.0, gt=0)
+    amplitude: float = bound(0.9, ge=0, le=1)
 
     kind = "diurnal"
-
-    def __post_init__(self) -> None:
-        _require(
-            self.period_ms > 0.0,
-            f"diurnal arrivals need period_ms > 0, got {self.period_ms}",
-        )
-        _require(
-            0.0 <= self.amplitude <= 1.0,
-            f"diurnal amplitude must be within [0, 1], got {self.amplitude}",
-        )
 
     def _cdf(self, t: float) -> float:
         period = self.period_ms
@@ -283,7 +260,7 @@ ARRIVAL_KINDS = {
 
 
 @dataclass(frozen=True)
-class BehaviorProfile:
+class BehaviorProfile(_Part):
     """How a block of vehicles behaves once enrolled.
 
     Profiles claim vehicles in spec order from index 0 (the first profile
@@ -308,38 +285,22 @@ class BehaviorProfile:
     """
 
     name: str
-    count: int
-    records_per_vehicle: int | None = None
-    send_interval_ms: float | None = None
-    max_records: int | None = None
-    roam_every: int | None = None
-    convoy_size: int | None = None
+    count: int = bound(ge=1)
+    records_per_vehicle: int | None = bound(None, ge=1)
+    send_interval_ms: float | None = bound(None, gt=0)
+    max_records: int | None = bound(None, ge=1)
+    roam_every: int | None = bound(None, ge=1)
+    convoy_size: int | None = bound(None, ge=2)
 
     kind = "profile"
 
+    def _owner(self) -> str:
+        """Messages name the profile, not just its kind."""
+        return f"profile {self.name!r}"
+
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(bool(self.name), "behavior profiles need a non-empty name")
-        _require(
-            self.count >= 1,
-            f"profile {self.name!r} must claim at least one vehicle,"
-            f" got count={self.count}",
-        )
-        for attr in ("records_per_vehicle", "max_records", "roam_every"):
-            value = getattr(self, attr)
-            _require(
-                value is None or value >= 1,
-                f"profile {self.name!r} needs {attr} >= 1, got {value}",
-            )
-        _require(
-            self.send_interval_ms is None or self.send_interval_ms > 0.0,
-            f"profile {self.name!r} needs send_interval_ms > 0,"
-            f" got {self.send_interval_ms}",
-        )
-        _require(
-            self.convoy_size is None or self.convoy_size >= 2,
-            f"profile {self.name!r} needs convoy_size >= 2,"
-            f" got {self.convoy_size}",
-        )
         _require(
             self.roam_every is None or self.convoy_size is None,
             f"profile {self.name!r} cannot both roam and pin to a convoy"
@@ -381,7 +342,7 @@ class CompiledProfile:
 
 
 @dataclass(frozen=True)
-class ReplayStorm:
+class ReplayStorm(_Part):
     """Replay captured application records against a gateway shard.
 
     The adversary records vehicle→gateway wire traffic (the orchestrator
@@ -400,21 +361,11 @@ class ReplayStorm:
         target_shard: gateway shard under attack.
     """
 
-    at_ms: float
-    replays: int = 32
-    target_shard: int = 0
+    at_ms: float = bound(ge=0)
+    replays: int = bound(32, ge=1)
+    target_shard: int = bound(0, ge=0)
 
     kind = "replay-storm"
-
-    def __post_init__(self) -> None:
-        _require(self.at_ms >= 0.0, f"at_ms must be >= 0, got {self.at_ms}")
-        _require(
-            self.replays >= 1, f"replays must be >= 1, got {self.replays}"
-        )
-        _require(
-            self.target_shard >= 0,
-            f"target_shard must be >= 0, got {self.target_shard}",
-        )
 
     def validate(self, config) -> None:
         """Compile-time checks against the fleet config."""
@@ -426,7 +377,7 @@ class ReplayStorm:
 
 
 @dataclass(frozen=True)
-class StaleCertFlood:
+class StaleCertFlood(_Part):
     """Present retired chain-epoch certificates after a gateway rejoin.
 
     When the failed shard rejoins, the trust store retires its old
@@ -442,16 +393,10 @@ class StaleCertFlood:
             stale certificates.
     """
 
-    at_ms: float
-    attempts: int = 32
+    at_ms: float = bound(ge=0)
+    attempts: int = bound(32, ge=1)
 
     kind = "stale-cert-flood"
-
-    def __post_init__(self) -> None:
-        _require(self.at_ms >= 0.0, f"at_ms must be >= 0, got {self.at_ms}")
-        _require(
-            self.attempts >= 1, f"attempts must be >= 1, got {self.attempts}"
-        )
 
     def validate(self, config) -> None:
         """Compile-time checks against the fleet config."""
@@ -470,7 +415,7 @@ class StaleCertFlood:
 
 
 @dataclass(frozen=True)
-class CaQueueFlood:
+class CaQueueFlood(_Part):
     """Flood a shard CA's issuance queue with forged enrollment requests.
 
     At ``at_ms`` the adversary enqueues ``requests`` certificate
@@ -487,21 +432,11 @@ class CaQueueFlood:
         target_shard: CA shard under attack.
     """
 
-    at_ms: float
-    requests: int = 64
-    target_shard: int = 0
+    at_ms: float = bound(ge=0)
+    requests: int = bound(64, ge=1)
+    target_shard: int = bound(0, ge=0)
 
     kind = "ca-flood"
-
-    def __post_init__(self) -> None:
-        _require(self.at_ms >= 0.0, f"at_ms must be >= 0, got {self.at_ms}")
-        _require(
-            self.requests >= 1, f"requests must be >= 1, got {self.requests}"
-        )
-        _require(
-            self.target_shard >= 0,
-            f"target_shard must be >= 0, got {self.target_shard}",
-        )
 
     def validate(self, config) -> None:
         """Compile-time checks against the fleet config."""
@@ -642,10 +577,13 @@ def load_scenario(data: "dict | str") -> Scenario:
 
     Accepts the mapping itself or its JSON string.  Malformed JSON, an
     unknown kind, and an arrival process, profile or injection with an
-    unknown field, a missing required field or a value of the wrong
-    type raise :class:`~repro.errors.ScenarioError` naming the part's
-    kind and the field, rather than being silently dropped; malformed
-    policy rules raise :class:`~repro.errors.PolicyError` the same way.
+    unknown field, a missing required field or a value outside the
+    field's declared type or bound (``"replays": 2.5``) raise
+    :class:`~repro.errors.ScenarioError` naming the part's kind, its
+    parameters and the field, rather than being silently dropped or
+    failing mid-run; malformed policy rules raise
+    :class:`~repro.errors.PolicyError` the same way.  Values load as
+    given: ``"at_ms": 4000`` stays an ``int``.
     """
     data = _json_object(data, "scenario", ScenarioError)
     return Scenario(

@@ -153,6 +153,13 @@ class TestConfigValidation:
         with pytest.raises(ProtocolError):
             FleetConfig(protocol="no-such-protocol")
 
+    def test_unknown_device_rejected_at_construction(self):
+        from repro.errors import HardwareModelError
+
+        for name in ("vehicle_device", "ca_device"):
+            with pytest.raises(HardwareModelError, match="nope"):
+                FleetConfig(**{name: "nope"})
+
     def test_bad_values_raise_typed_config_errors(self):
         from repro.errors import ConfigError
 
