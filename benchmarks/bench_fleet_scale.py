@@ -53,9 +53,6 @@ from repro.fleet import FleetConfig, FleetOrchestrator
 from repro.obs import (
     Observer,
     lint_archive,
-    profile_fleet_run,
-    render_speedup_table,
-    speedup_table,
     validate_chrome_trace,
     validate_events,
 )
@@ -179,21 +176,6 @@ def bench_backend_speedup(
         "aes_accelerated": aes_accelerated,
         "ec_accelerated": ec_accelerated,
     }
-
-
-def bench_primitive_speedup(config: FleetConfig) -> dict:
-    """Per-primitive reference-vs-accelerated wall-time attribution.
-
-    Runs the same storm once per backend under a
-    :class:`repro.obs.ProfilingBackend` and reconciles the measured wall
-    time per event class against the run's ``CostTrace`` counts —
-    :func:`repro.obs.speedup_table` asserts both digests and trace
-    counts match exactly (the bit-parity contract), so the table always
-    compares identical work.
-    """
-    reference = profile_fleet_run(config, backend="reference")
-    accelerated = profile_fleet_run(config, backend="accelerated")
-    return speedup_table(reference, accelerated)
 
 
 def export_trace(config: FleetConfig, path: str) -> dict:
@@ -554,16 +536,6 @@ def main() -> None:
             f" {required_speedup:.1f}x required"
         )
 
-    # Per-primitive wall-time attribution: always measured on the quick
-    # workload (the table is about per-event-class ratios, not totals, so
-    # the small storm is representative and keeps the full bench's
-    # runtime bounded).  Changes nothing gated: the regression gate only
-    # reads the `fleet` mapping.
-    primitive_table = bench_primitive_speedup(QUICK_CONFIG)
-    print(f"\n== per-primitive backend speedup"
-          f" ({QUICK_CONFIG.n_vehicles}-vehicle storm) ==")
-    print(render_speedup_table(primitive_table))
-
     print("\n== streaming scale sweep (vehicles x workers) ==")
     scale_cell = bench_scale_sweep(args.quick)
 
@@ -603,7 +575,6 @@ def main() -> None:
             "batch_ms": ca_batch_s * 1000.0,
             "sequential_ms": ca_seq_s * 1000.0,
         },
-        "primitive_speedup": primitive_table,
         "scale": scale_cell,
     }
     if trace_cell is not None:
@@ -674,26 +645,6 @@ def test_scale_cell_parity_at_pytest_scale():
     for cell in (serial, parallel):
         assert cell["host_records_per_s"] > 0
         assert cell["peak_rss_kb"] is None or cell["peak_rss_kb"] > 0
-
-
-def test_primitive_speedup_table_at_pytest_scale():
-    config = FleetConfig(
-        n_vehicles=4,
-        seed=b"bench-fleet-pytest",
-        records_per_vehicle=4,
-        max_records=2,
-        arrival_spread_ms=10.0,
-    )
-    table = bench_primitive_speedup(config)
-    events = {row["event"] for row in table["rows"]}
-    assert {"ec.mul_base", "ec.mul_point", "sha2", "hmac", "aes"} <= events
-    by_event = {row["event"]: row for row in table["rows"]}
-    # The storm exercises every reconciled primitive class.
-    for event in ("ec.mul_base", "ec.mul_point", "sha2", "hmac", "aes"):
-        assert by_event[event]["trace_count"] > 0
-        assert by_event[event]["reference_ms"] > 0
-    assert table["digest"]
-    assert render_speedup_table(table)
 
 
 if __name__ == "__main__":

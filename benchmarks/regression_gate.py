@@ -87,6 +87,33 @@ def _metric(fleet: dict, dotted: str) -> float:
     return float(value)
 
 
+def _cell_key(benchmark: str, cell: dict, scale: bool = False) -> tuple:
+    """The structural key of one sweep cell, or of one scale-sweep point.
+
+    ``(benchmark, scenario, policy, shards, v2v_fraction, n_vehicles,
+    churn)``; a scale point puts its worker count in the scenario slot.
+    """
+    if scale:
+        return (
+            benchmark,
+            f"scale-w{cell['workers']}",
+            "",
+            cell.get("shards", 0),
+            0.0,
+            cell["vehicles"],
+            False,
+        )
+    return (
+        benchmark,
+        cell.get("scenario", ""),
+        cell.get("policy", ""),
+        cell["shards"],
+        cell["v2v_fraction"],
+        cell["n_vehicles"],
+        bool(cell.get("churn", False)),
+    )
+
+
 def extract_cells(payload: dict) -> dict:
     """Map a BENCH payload to ``{cell_key: fleet_stats_dict}``.
 
@@ -105,36 +132,17 @@ def extract_cells(payload: dict) -> dict:
     """
     benchmark = payload.get("benchmark", "unknown")
     if "cells" in payload:
-        cells = {}
-        for cell in payload["cells"]:
-            key = (
-                benchmark,
-                cell.get("scenario", ""),
-                cell.get("policy", ""),
-                cell["shards"],
-                cell["v2v_fraction"],
-                cell["n_vehicles"],
-                bool(cell.get("churn", False)),
-            )
-            cells[key] = cell["fleet"]
-        return cells
+        return {
+            _cell_key(benchmark, cell): cell["fleet"]
+            for cell in payload["cells"]
+        }
     config = payload.get("config", {})
     key = (benchmark, "", "", 1, 0.0, config.get("n_vehicles", 0), False)
     cells = {key: payload["fleet"]}
     for cell in payload.get("scale", {}).get("cells", []):
         if "fleet" not in cell:
             continue  # pre-gate scale cells carried no stats payload
-        cells[
-            (
-                benchmark,
-                f"scale-w{cell['workers']}",
-                "",
-                cell.get("shards", 0),
-                0.0,
-                cell["vehicles"],
-                False,
-            )
-        ] = cell["fleet"]
+        cells[_cell_key(benchmark, cell, scale=True)] = cell["fleet"]
     return cells
 
 
@@ -152,29 +160,10 @@ def extract_tree_roots(payload: dict) -> dict:
     roots = {}
     for cell in payload.get("cells", []):
         if cell.get("tree_root"):
-            key = (
-                benchmark,
-                cell.get("scenario", ""),
-                cell.get("policy", ""),
-                cell["shards"],
-                cell["v2v_fraction"],
-                cell["n_vehicles"],
-                bool(cell.get("churn", False)),
-            )
-            roots[key] = cell["tree_root"]
+            roots[_cell_key(benchmark, cell)] = cell["tree_root"]
     for cell in payload.get("scale", {}).get("cells", []):
         if cell.get("tree_root"):
-            roots[
-                (
-                    benchmark,
-                    f"scale-w{cell['workers']}",
-                    "",
-                    cell.get("shards", 0),
-                    0.0,
-                    cell["vehicles"],
-                    False,
-                )
-            ] = cell["tree_root"]
+            roots[_cell_key(benchmark, cell, scale=True)] = cell["tree_root"]
     return roots
 
 

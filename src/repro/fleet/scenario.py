@@ -527,6 +527,12 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
+        for attr in ("name", "description"):
+            value = getattr(self, attr)
+            _require(
+                isinstance(value, str),
+                f"scenario: {attr} must be a str, got {value!r}",
+            )
         _require(bool(self.name), "scenarios need a non-empty name")
         object.__setattr__(self, "profiles", tuple(self.profiles))
         object.__setattr__(self, "injections", tuple(self.injections))
@@ -575,10 +581,11 @@ class Scenario:
 def load_scenario(data: "dict | str") -> Scenario:
     """Rebuild a :class:`Scenario` from :meth:`Scenario.as_dict` output.
 
-    Accepts the mapping itself or its JSON string.  Malformed JSON, an
-    unknown kind, and an arrival process, profile or injection with an
-    unknown field, a missing required field or a value outside the
-    field's declared type or bound (``"replays": 2.5``) raise
+    Accepts the mapping itself or its JSON string.  Malformed JSON, a
+    ``profiles``, ``injections`` or ``policies`` value that is not a
+    list, an unknown kind, and an arrival process, profile or injection
+    with an unknown field, a missing required field or a value outside
+    the field's declared type or bound (``"replays": 2.5``) raise
     :class:`~repro.errors.ScenarioError` naming the part's kind, its
     parameters and the field, rather than being silently dropped or
     failing mid-run; malformed policy rules raise
@@ -586,6 +593,12 @@ def load_scenario(data: "dict | str") -> Scenario:
     given: ``"at_ms": 4000`` stays an ``int``.
     """
     data = _json_object(data, "scenario", ScenarioError)
+    for key in ("profiles", "injections", "policies"):
+        parts = data.get(key, [])
+        _require(
+            isinstance(parts, (list, tuple)),
+            f"scenario: {key} must be a list, got {type(parts).__name__}",
+        )
     return Scenario(
         name=data.get("name", ""),
         description=data.get("description", ""),

@@ -4,9 +4,9 @@ The paper's methodology is observability-by-counting: primitives are
 traced (:mod:`repro.trace`) and priced into embedded execution time.
 This package extends that lens along the axes the flat counters miss —
 *when* things happened (sim-time spans), *where* (labeled metrics per
-shard/backend/event class), *how the run is going* (progress
-heartbeats) and *how long primitives took on this host per backend*
-(:mod:`repro.obs.profile`).
+shard/backend/event class) and *how the run is going* (progress
+heartbeats).  :mod:`repro.obs.profile` times the backend seam per
+primitive class for perfbench's per-layer host-time report.
 
 Two contracts, inherited from :class:`repro.trace.CostTrace`:
 
@@ -69,15 +69,7 @@ from .metrics import (
     MetricsSnapshot,
     merge_metric_events,
 )
-from .profile import (
-    PRIMITIVE_CLASSES,
-    ProfileReport,
-    ProfilingBackend,
-    profile_fleet_run,
-    profiled_backend,
-    render_speedup_table,
-    speedup_table,
-)
+from .profile import PRIMITIVE_CLASSES, ProfilingBackend, profiled_backend
 from .spans import FLEET_CATEGORIES, Span, SpanRecorder
 from .tree import (
     TREE_SECTIONS,
@@ -102,7 +94,6 @@ __all__ = [
     "MetricsSnapshot",
     "Observer",
     "PRIMITIVE_CLASSES",
-    "ProfileReport",
     "ProfilingBackend",
     "Span",
     "SpanRecorder",
@@ -115,12 +106,9 @@ __all__ = [
     "lint_rule",
     "markdown_rollup",
     "merge_metric_events",
-    "profile_fleet_run",
     "profiled_backend",
     "read_jsonl",
-    "render_speedup_table",
     "run_lint",
-    "speedup_table",
     "validate_chrome_trace",
     "validate_events",
     "validate_schema",

@@ -1,11 +1,16 @@
 """Labeled, mergeable fleet metrics: counters, gauges, histograms.
 
-The future process-parallel orchestrator will run shards in worker
-processes and fold their telemetry back together, exactly the way
-``ShardStats.merge`` already folds per-shard aggregates.  That forces
-one law onto everything in this module:
+The process-parallel orchestrator (:mod:`repro.fleet.parallel`) runs
+shards in worker processes and folds their telemetry back together,
+the way it folds their stats.  That forces one law onto everything in
+this module:
 
     **snapshot merge is order-independent and associative.**
+
+:meth:`MetricsSnapshot.merge` is the one fold.  Absorbing worker
+snapshots (:meth:`MetricsRegistry.absorb`), importing JSONL metric
+events (:meth:`MetricsSnapshot.from_events`) and folding digest-tree
+metric leaves (:func:`merge_metric_events`) all go through it.
 
 ``merge(a, merge(b, c)) == merge(merge(a, b), c)`` and any permutation
 of the operands produces the *same* snapshot, bit for bit.  Integers
@@ -23,7 +28,7 @@ law over random instrument programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ..errors import ObsError
@@ -46,6 +51,14 @@ DEFAULT_BUCKETS_MS = (
     1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
     1_000.0, 2_000.0, 5_000.0, 10_000.0, 30_000.0, 60_000.0,
 )
+
+
+#: The :class:`MetricsSnapshot` field each metric event type folds into.
+_SECTIONS = {
+    "counter": "counters",
+    "gauge": "gauges",
+    "histogram": "histograms",
+}
 
 
 def _label_key(labels: dict) -> tuple:
@@ -119,27 +132,6 @@ class Histogram:
                 self.bucket_counts[index] += 1
                 return
         self.bucket_counts[-1] += 1
-
-    def absorb(self, snap: "HistogramSnapshot") -> None:
-        """Fold a frozen snapshot into this live histogram.
-
-        Exact (the sums are Fractions) and order-independent, so
-        absorbing worker snapshots in any order yields the same state
-        as the merge-law composition of their snapshots.
-        """
-        if snap.bounds != self.bounds:
-            raise ObsError(
-                "cannot absorb a histogram with different bucket bounds:"
-                f" {self.bounds} != {snap.bounds}"
-            )
-        self.count += snap.count
-        self._sum += snap.sum_exact
-        if snap.min is not None and (self.min is None or snap.min < self.min):
-            self.min = snap.min
-        if snap.max is not None and (self.max is None or snap.max > self.max):
-            self.max = snap.max
-        for index, tally in enumerate(snap.bucket_counts):
-            self.bucket_counts[index] += tally
 
     def snapshot(self) -> "HistogramSnapshot":
         """Immutable snapshot of the current state."""
@@ -301,39 +293,35 @@ class MetricsSnapshot:
 
     @classmethod
     def from_events(cls, events: list[dict]) -> "MetricsSnapshot":
-        """Rebuild a snapshot from :meth:`events` output (JSONL import)."""
-        counters: dict = {}
-        gauges: dict = {}
-        histograms: dict = {}
+        """Rebuild a snapshot from :meth:`events` output (JSONL import).
+
+        Each metric event becomes a one-instrument snapshot, and
+        :meth:`merge` folds them; events of other types are skipped.
+        """
+        snapshot = cls.empty()
         for event in events:
-            kind = event.get("type")
-            if kind not in ("counter", "gauge", "histogram"):
+            section = _SECTIONS.get(event.get("type"))
+            if section is None:
                 continue
             key = (event["name"], _label_key(event["labels"]))
-            if kind == "counter":
-                counters[key] = counters.get(key, 0) + event["value"]
-            elif kind == "gauge":
-                gauges[key] = (
-                    max(gauges[key], event["value"])
-                    if key in gauges
-                    else event["value"]
-                )
-            else:
-                snap = HistogramSnapshot.from_dict(event)
-                histograms[key] = (
-                    histograms[key].merge(snap) if key in histograms else snap
-                )
-        return cls(counters=counters, gauges=gauges, histograms=histograms)
+            value = (
+                HistogramSnapshot.from_dict(event)
+                if section == "histograms"
+                else event["value"]
+            )
+            part = replace(cls.empty(), **{section: {key: value}})
+            snapshot = snapshot.merge(part)
+        return snapshot
 
 
 def merge_metric_events(a: dict, b: dict) -> dict:
     """Fold two JSONL metric events for one instrument into one.
 
-    The event-dict face of the snapshot merge laws — counters add,
-    gauges take the max, histograms merge exactly — used by the digest
-    tree (:mod:`repro.obs.tree`) to fold metric leaves so that tree
-    merging agrees with :meth:`MetricsRegistry.absorb`.  Both events
-    must describe the same instrument (type, name and labels).
+    The event-dict face of :meth:`MetricsSnapshot.merge` — counters
+    add, gauges take the max, histograms merge exactly — used by the
+    digest tree (:mod:`repro.obs.tree`) to fold metric leaves so that
+    tree merging agrees with :meth:`MetricsRegistry.absorb`.  Both
+    events must describe the same instrument (type, name and labels).
     """
     kind = a.get("type")
     if (
@@ -346,21 +334,10 @@ def merge_metric_events(a: dict, b: dict) -> dict:
             f" {a.get('type')}:{a.get('name')}:{a.get('labels')} !="
             f" {b.get('type')}:{b.get('name')}:{b.get('labels')}"
         )
-    if kind == "counter":
-        return {**a, "value": a["value"] + b["value"]}
-    if kind == "gauge":
-        return {**a, "value": max(a["value"], b["value"])}
-    if kind == "histogram":
-        merged = HistogramSnapshot.from_dict(a).merge(
-            HistogramSnapshot.from_dict(b)
-        )
-        return {
-            "type": "histogram",
-            "name": a["name"],
-            "labels": a["labels"],
-            **merged.as_dict(),
-        }
-    raise ObsError(f"cannot fold events of non-metric type {kind!r}")
+    if kind not in _SECTIONS:
+        raise ObsError(f"cannot fold events of non-metric type {kind!r}")
+    (merged,) = MetricsSnapshot.from_events([a, b]).events()
+    return merged
 
 
 class MetricsRegistry:
@@ -380,6 +357,7 @@ class MetricsRegistry:
         self._gauges: dict = {}
         self._histograms: dict = {}
         self._histogram_bounds: dict = {}
+        self._absorbed = MetricsSnapshot.empty()
 
     def counter(self, name: str, **labels) -> Counter:
         """The counter registered under ``name`` + ``labels``."""
@@ -422,42 +400,29 @@ class MetricsRegistry:
         return self._histograms[key]
 
     def absorb(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a frozen snapshot into the live registry.
+        """Fold a frozen snapshot into the registry.
 
         The process-parallel orchestrator's barrier merge: each worker
         ships its registry as a :class:`MetricsSnapshot` and the parent
-        absorbs them all.  Obeys the same laws as
-        :meth:`MetricsSnapshot.merge` — counters add, gauges take the
-        max, histograms fold exactly — so
+        absorbs them all.  Absorbed snapshots fold into one held
+        snapshot with :meth:`MetricsSnapshot.merge`, so
         ``registry.snapshot()`` afterwards equals
-        ``before.merge(snapshot)`` for any absorption order.
+        ``before.merge(snapshot)`` for any absorption order.  A
+        histogram's bounds are fixed per metric name here as in
+        :meth:`histogram`.
         """
-        for (name, labels), value in snapshot.counters.items():
-            key = (name, labels)
-            if key not in self._counters:
-                self._counters[key] = Counter()
-            self._counters[key].inc(value)
-        for (name, labels), value in snapshot.gauges.items():
-            key = (name, labels)
-            if key not in self._gauges:
-                self._gauges[key] = Gauge()
-            self._gauges[key].record(value)
-        for (name, labels), snap in snapshot.histograms.items():
-            key = (name, labels)
-            if key not in self._histograms:
-                fixed = self._histogram_bounds.get(name)
-                if fixed is not None and fixed != snap.bounds:
-                    raise ObsError(
-                        f"histogram {name!r} already registered with"
-                        f" bounds {fixed}"
-                    )
-                self._histogram_bounds.setdefault(name, snap.bounds)
-                self._histograms[key] = Histogram(snap.bounds)
-            self._histograms[key].absorb(snap)
+        for (name, _labels), snap in snapshot.histograms.items():
+            fixed = self._histogram_bounds.setdefault(name, snap.bounds)
+            if fixed != snap.bounds:
+                raise ObsError(
+                    f"histogram {name!r} already registered with"
+                    f" bounds {fixed}"
+                )
+        self._absorbed = self._absorbed.merge(snapshot)
 
     def snapshot(self) -> MetricsSnapshot:
-        """Freeze the current state of every instrument."""
-        return MetricsSnapshot(
+        """Freeze every live instrument, merged with what was absorbed."""
+        live = MetricsSnapshot(
             counters={
                 key: counter.value for key, counter in self._counters.items()
             },
@@ -471,3 +436,4 @@ class MetricsRegistry:
                 for key, histogram in self._histograms.items()
             },
         )
+        return live.merge(self._absorbed)

@@ -7,24 +7,19 @@ every call through the seam, bucketed by the same event classes
 is *pure delegation* — same bytes out, no extra trace events, no DRBG
 draws — golden digests survive profiling bit-identically; only host
 wall-clock numbers (non-deterministic by definition) are added.
+:func:`profiled_backend` scopes one over a block; perfbench's traced
+pass reads its ``timings`` as the backend layer's host time.
 
-:func:`profile_fleet_run` runs one fleet under a profiled backend and
-reconciles the measured wall time against the ``CostTrace`` counts of
-the same run, and :func:`speedup_table` folds a reference profile and
-an accelerated profile into the per-primitive speedup table
-``bench_fleet_scale.py --json`` emits.
-
-A row's backend ``calls`` can be lower than its ``trace_count``: the
-trace counts the simulated device's work, the calls count the host's.
-A :class:`~repro.ecqv.KeyCache` hit replays the ``ec.mul_point`` of a
-peer-key reconstruction without calling the backend, so a fleet that
-re-keys makes fewer ``ec_mul`` calls than it records ``ec.mul_point``
-events.
+A bucket's backend ``calls`` can be lower than the run's trace count
+for the same class: the trace counts the simulated device's work, the
+calls count the host's.  A :class:`~repro.ecqv.KeyCache` hit replays
+the ``ec.mul_point`` of a peer-key reconstruction without calling the
+backend, so a fleet that re-keys makes fewer ``ec_mul`` calls than it
+records ``ec.mul_point`` events.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -33,30 +28,23 @@ from ..backend import (
     unregister_backend,
     use_backend,
 )
-from ..errors import ObsError
-from .. import trace as trace_mod
 
 __all__ = [
     "PRIMITIVE_CLASSES",
-    "ProfileReport",
     "ProfilingBackend",
-    "profile_fleet_run",
     "profiled_backend",
-    "render_speedup_table",
-    "speedup_table",
 ]
 
-#: Profiled event classes and the ``CostTrace`` event whose count they
-#: reconcile against (``None`` → no direct trace counterpart).
-PRIMITIVE_CLASSES = {
-    "ec.mul_base": "ec.mul_base",
-    "ec.mul_point": "ec.mul_point",
-    "ec.mul_double": "ec.mul_double",
-    "ec.normalize": None,
-    "sha2": "sha2.block",
-    "hmac": "hmac.call",
-    "aes": "aes.block",
-}
+#: The event classes :class:`ProfilingBackend` buckets host time by.
+PRIMITIVE_CLASSES = (
+    "ec.mul_base",
+    "ec.mul_point",
+    "ec.mul_double",
+    "ec.normalize",
+    "sha2",
+    "hmac",
+    "aes",
+)
 
 
 class _TimedProxy:
@@ -195,127 +183,3 @@ def profiled_backend(base: str = "reference", name: str = "profiled"):
             yield profiler
     finally:
         unregister_backend(name)
-
-
-@dataclasses.dataclass(frozen=True)
-class ProfileReport:
-    """One profiled fleet run: wall time + trace counts per class."""
-
-    backend: str
-    wall_s: float
-    digest: str
-    timings: dict
-    trace_counts: dict
-
-    def rows(self) -> list:
-        """Per-class rows reconciling wall time against trace counts."""
-        out = []
-        for event, trace_event in PRIMITIVE_CLASSES.items():
-            bucket = self.timings[event]
-            count = (
-                self.trace_counts.get(trace_event, 0)
-                if trace_event is not None
-                else bucket["calls"]
-            )
-            out.append(
-                {
-                    "event": event,
-                    "trace_event": trace_event,
-                    "wall_ns": bucket["wall_ns"],
-                    "calls": bucket["calls"],
-                    "trace_count": count,
-                }
-            )
-        return out
-
-    def as_dict(self) -> dict:
-        """JSON-ready mapping of the report (rows reconciled)."""
-        return {
-            "backend": self.backend,
-            "wall_s": self.wall_s,
-            "digest": self.digest,
-            "rows": self.rows(),
-        }
-
-
-def profile_fleet_run(config, scenario=None, backend: str = "reference"):
-    """Run one fleet with a profiled ``backend``; returns a report.
-
-    ``config.backend`` is stripped (the profiled scope must win over the
-    orchestrator's own ``use_backend(config.backend)`` wrapper) and the
-    whole run is traced so primitive counts come from the same run the
-    wall times do.
-    """
-    from ..fleet import run_fleet
-
-    config = dataclasses.replace(config, backend=None)
-    with profiled_backend(base=backend) as profiler:
-        with trace_mod.trace(f"profile:{backend}") as cost:
-            t0 = time.perf_counter()
-            result = run_fleet(config, scenario=scenario)
-            wall_s = time.perf_counter() - t0
-    return ProfileReport(
-        backend=backend,
-        wall_s=wall_s,
-        digest=result.stats.digest(),
-        timings={k: dict(v) for k, v in profiler.timings.items()},
-        trace_counts=cost.as_dict(),
-    )
-
-
-def speedup_table(reference: ProfileReport, accelerated: ProfileReport):
-    """Fold two profiles into per-primitive speedup rows.
-
-    Both runs must be the same deterministic workload: digests and
-    trace counts are required to match exactly (that *is* the
-    bit-parity contract the seam promises), otherwise the comparison
-    would be between different work.
-    """
-    if reference.digest != accelerated.digest:
-        raise ObsError(
-            "profiled runs diverged: digest"
-            f" {reference.digest[:16]} != {accelerated.digest[:16]}"
-        )
-    if reference.trace_counts != accelerated.trace_counts:
-        raise ObsError(
-            "profiled runs diverged: trace counts differ between"
-            " backends"
-        )
-    rows = []
-    acc_by_event = {row["event"]: row for row in accelerated.rows()}
-    for ref_row in reference.rows():
-        acc_row = acc_by_event[ref_row["event"]]
-        ref_ns, acc_ns = ref_row["wall_ns"], acc_row["wall_ns"]
-        rows.append(
-            {
-                "event": ref_row["event"],
-                "trace_count": ref_row["trace_count"],
-                "reference_ms": ref_ns / 1e6,
-                "accelerated_ms": acc_ns / 1e6,
-                "speedup": (ref_ns / acc_ns) if acc_ns else None,
-            }
-        )
-    return {
-        "rows": rows,
-        "reference_wall_s": reference.wall_s,
-        "accelerated_wall_s": accelerated.wall_s,
-        "digest": reference.digest,
-    }
-
-
-def render_speedup_table(table: dict) -> str:
-    """Plain-text rendering of :func:`speedup_table` output."""
-    lines = [
-        f"{'primitive':<14} {'trace count':>12} {'reference ms':>13}"
-        f" {'accel ms':>10} {'speedup':>8}",
-    ]
-    for row in table["rows"]:
-        speedup = (
-            f"{row['speedup']:.1f}x" if row["speedup"] is not None else "—"
-        )
-        lines.append(
-            f"{row['event']:<14} {row['trace_count']:>12}"
-            f" {row['reference_ms']:>13.2f}"
-            f" {row['accelerated_ms']:>10.2f} {speedup:>8}"
-        )
-    return "\n".join(lines)

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import ObsError
+from .lint import run_lint
 
 __all__ = ["Span", "SpanRecorder"]
 
@@ -260,7 +261,8 @@ class SpanRecorder:
     def validate(self) -> None:
         """Check the finished tree is well-formed; raise :class:`ObsError`.
 
-        Well-formed means: no span is still open, every ``parent_id``
+        Well-formed means: no span is still open, and the finished spans
+        pass tracelint's ``span-nesting`` rule — every ``parent_id``
         resolves to a finished span, every interval is non-negative, and
         every child's interval nests inside its parent's.  This is the
         invariant the hypothesis property suite drives.
@@ -268,27 +270,9 @@ class SpanRecorder:
         if self._open:
             names = [s.name for s in self._open.values()][:5]
             raise ObsError(f"spans still open: {names}")
-        by_id = {span.span_id: span for span in self._finished}
-        for span in self._finished:
-            if span.end_ms < span.start_ms:
-                raise ObsError(
-                    f"span {span.name!r} has negative interval"
-                    f" [{span.start_ms}, {span.end_ms}]"
-                )
-            if span.parent_id is None:
-                continue
-            parent = by_id.get(span.parent_id)
-            if parent is None:
-                raise ObsError(
-                    f"span {span.name!r} names unknown parent"
-                    f" {span.parent_id}"
-                )
-            if not (
-                parent.start_ms <= span.start_ms
-                and span.end_ms <= parent.end_ms
-            ):
-                raise ObsError(
-                    f"span {span.name!r} [{span.start_ms}, {span.end_ms}]"
-                    f" escapes parent {parent.name!r}"
-                    f" [{parent.start_ms}, {parent.end_ms}]"
-                )
+        findings = run_lint(
+            (span.as_dict() for span in self.finished()),
+            rules=("span-nesting",),
+        )
+        if findings:
+            raise ObsError(findings[0].message)

@@ -511,6 +511,28 @@ class TestEngine:
         with pytest.raises(ScenarioError, match="not valid JSON"):
             load_scenario("{nope")
 
+    @pytest.mark.parametrize("field", ["profiles", "injections", "policies"])
+    @pytest.mark.parametrize(
+        "bad, got",
+        [({"kind": "profile", "name": "a", "count": 1}, "dict"), ("ab", "str")],
+        ids=["object", "string"],
+    )
+    def test_load_scenario_names_a_part_field_that_is_not_a_list(
+        self, field, bad, got
+    ):
+        with pytest.raises(
+            ScenarioError, match=f"{field} must be a list, got {got}"
+        ):
+            load_scenario({"name": "x", field: bad})
+
+    @pytest.mark.parametrize("field", ["name", "description"])
+    def test_scenario_text_fields_must_be_strings(self, field):
+        spec = {"name": "x", field: 5}
+        with pytest.raises(ScenarioError, match=f"{field} must be a str"):
+            load_scenario(spec)
+        with pytest.raises(ScenarioError, match=f"{field} must be a str"):
+            Scenario(**spec)
+
     def test_named_scenarios_all_load(self):
         for name in NAMED_SCENARIOS:
             scenario = get_scenario(name)

@@ -8,22 +8,12 @@ temporary ``profiled`` backend.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.backend import CryptoBackend, available_backends, use_backend
 from repro.ec import SECP256R1, mul_base
-from repro.errors import ObsError
 from repro.fleet import FleetConfig, run_fleet
-from repro.obs import (
-    PRIMITIVE_CLASSES,
-    ProfilingBackend,
-    profile_fleet_run,
-    profiled_backend,
-    render_speedup_table,
-    speedup_table,
-)
+from repro.obs import PRIMITIVE_CLASSES, ProfilingBackend, profiled_backend
 
 _CONFIG = FleetConfig(
     n_vehicles=3,
@@ -142,73 +132,12 @@ class TestProfiledBackendScope:
         assert available_backends() == before
 
 
-class TestProfileFleetRun:
-    def test_profile_preserves_digest(self):
+class TestProfiledFleetRun:
+    def test_profiled_run_keeps_digest_and_times_primitives(self):
         plain = run_fleet(_CONFIG)
-        report = profile_fleet_run(_CONFIG, backend="reference")
-        assert report.digest == plain.stats.digest()
-        assert report.backend == "reference"
-        assert report.wall_s > 0
-
-    def test_profile_strips_config_backend(self):
-        # A config pinning its own backend must still profile under the
-        # requested one (the profiled scope wins).
-        pinned = dataclasses.replace(_CONFIG, backend="accelerated")
-        report = profile_fleet_run(pinned, backend="reference")
-        assert report.digest == run_fleet(_CONFIG).stats.digest()
-
-    def test_rows_reconcile_against_trace_counts(self):
-        report = profile_fleet_run(_CONFIG, backend="reference")
-        rows = {row["event"]: row for row in report.rows()}
+        with profiled_backend("reference") as profiler:
+            profiled = run_fleet(_CONFIG)
+        assert profiled.stats.digest() == plain.stats.digest()
         for event in ("ec.mul_base", "sha2", "hmac", "aes"):
-            assert rows[event]["trace_count"] > 0
-            assert rows[event]["calls"] > 0
-            assert rows[event]["wall_ns"] > 0
-        # Every profiled call class the trace counts, the profiler saw.
-        assert rows["ec.mul_base"]["trace_event"] == "ec.mul_base"
-        assert rows["sha2"]["trace_event"] == "sha2.block"
-
-    def test_as_dict_is_json_shaped(self):
-        import json
-
-        report = profile_fleet_run(_CONFIG, backend="reference")
-        payload = report.as_dict()
-        json.dumps(payload)
-        assert payload["backend"] == "reference"
-        assert {row["event"] for row in payload["rows"]} == set(
-            PRIMITIVE_CLASSES
-        )
-
-
-class TestSpeedupTable:
-    def test_speedup_table_over_both_backends(self):
-        reference = profile_fleet_run(_CONFIG, backend="reference")
-        accelerated = profile_fleet_run(_CONFIG, backend="accelerated")
-        table = speedup_table(reference, accelerated)
-        assert table["digest"] == reference.digest
-        rows = {row["event"]: row for row in table["rows"]}
-        assert rows["sha2"]["speedup"] is not None
-        text = render_speedup_table(table)
-        assert "primitive" in text and "sha2" in text
-
-    def test_digest_mismatch_rejected(self):
-        reference = profile_fleet_run(_CONFIG, backend="reference")
-        other = profile_fleet_run(
-            dataclasses.replace(_CONFIG, n_vehicles=4),
-            backend="accelerated",
-        )
-        with pytest.raises(ObsError, match="diverged"):
-            speedup_table(reference, other)
-
-    def test_zero_time_rows_render_as_dash(self):
-        reference = profile_fleet_run(_CONFIG, backend="reference")
-        accelerated = profile_fleet_run(_CONFIG, backend="accelerated")
-        table = speedup_table(reference, accelerated)
-        normalize = next(
-            row for row in table["rows"] if row["event"] == "ec.normalize"
-        )
-        if normalize["accelerated_ms"] == 0.0:
-            assert normalize["speedup"] is None
-        assert "—" in render_speedup_table(table) or all(
-            row["speedup"] is not None for row in table["rows"]
-        )
+            assert profiler.timings[event]["calls"] > 0
+            assert profiler.timings[event]["wall_ns"] > 0

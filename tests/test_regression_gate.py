@@ -132,6 +132,30 @@ class TestCellExtraction:
         assert ("fleet_scale", "scale-w2", "", 4, 0.0, 300, False) in cells
         assert len(cells) == 3  # storm cell + two gateable scale cells
 
+    def test_tree_roots_sit_under_the_cell_keys(self):
+        sweep = _topology_payload()
+        sweep_cell = sweep["cells"][1]
+        sweep_cell["tree_root"] = "sweep-root"
+        scale_cell = {
+            "vehicles": 300,
+            "workers": 2,
+            "shards": 4,
+            "tree_root": "scale-root",
+            "fleet": {"throughput_records_per_s": 2.0},
+        }
+        scale = {
+            "benchmark": "fleet_scale",
+            "mode": "quick",
+            "config": {"n_vehicles": 250},
+            "fleet": {"throughput_records_per_s": 1.0},
+            "scale": {"cells": [scale_cell]},
+        }
+        for payload, cell in ((sweep, sweep_cell), (scale, scale_cell)):
+            roots = gate.extract_tree_roots(payload)
+            assert list(roots.values()) == [cell["tree_root"]]
+            (key,) = roots
+            assert gate.extract_cells(payload)[key] is cell["fleet"]
+
     def test_mode_selects_baseline_file(self):
         quick = {"mode": "quick"}
         full = {"mode": "full"}
