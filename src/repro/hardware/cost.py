@@ -10,7 +10,6 @@ whole session establishment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from ..errors import HardwareModelError
 from ..trace import CostTrace
@@ -45,6 +44,11 @@ SYM_RELATIVE_WEIGHTS: dict[str, float] = {
     "rng.bytes": 0.002,  # per byte of requested randomness
 }
 
+#: Most totals one :class:`CostModel` memoizes.  A fleet workload prices
+#: only a few distinct trace shapes per device, so the memo fills within
+#: a run's first records; the bound caps a caller pricing ever-new traces.
+PRICE_MEMO_ENTRIES = 1024
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -55,14 +59,21 @@ class CostModel:
             (the dominant term; everything EC scales from it).
         hash_block_ms: cost of one SHA-2 compression (everything symmetric
             scales from it).
-        extra_ms: optional explicit per-event overrides/additions; fixed
-            once the model exists, since :meth:`price` caches each event's
-            price.
+        extra_ms: optional explicit per-event overrides/additions.  The
+            model copies the dict it is given, so a caller's later edit
+            to that dict cannot disagree with the prices it has cached.
     """
 
     scalar_mult_ms: float
     hash_block_ms: float
     extra_ms: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "extra_ms", dict(self.extra_ms))
+        #: ``event -> price_of(event)``, filled as events are priced.
+        object.__setattr__(self, "_prices", {})
+        #: Ordered trace counts -> :meth:`price` total, first in first out.
+        object.__setattr__(self, "_totals", {})
 
     def price_of(self, event: str) -> float:
         """Millisecond price of a single occurrence of ``event``.
@@ -78,10 +89,13 @@ class CostModel:
         price += self.extra_ms.get(event, 0.0)
         return price
 
-    @cached_property
-    def _prices(self) -> dict[str, float]:
-        """``event -> price_of(event)``, filled as :meth:`price` meets events."""
-        return {}
+    def _table(self, counts: dict[str, int]) -> dict[str, float]:
+        """The per-event price table, holding every event in ``counts``."""
+        prices = self._prices
+        for event in counts:
+            if event not in prices:
+                prices[event] = self.price_of(event)
+        return prices
 
     def price(self, trace: CostTrace) -> float:
         """Total milliseconds for every event recorded in ``trace``.
@@ -90,18 +104,29 @@ class CostModel:
         the trace's first-seen event order, reading each price from a
         per-model table.  Python 3.12's ``sum`` compensates float
         rounding, so a hand-written loop would change the bits there.
+
+        Each total is memoized under the ordered ``(event, count)``
+        items, so equal counts recorded in a different order are priced
+        (and summed) on their own.  The memo keeps at most
+        :data:`PRICE_MEMO_ENTRIES` totals, dropping the oldest first.
         """
-        prices = self._prices
         counts = trace.counts
-        for event in counts:
-            if event not in prices:
-                prices[event] = self.price_of(event)
-        return sum(count * prices[event] for event, count in counts.items())
+        key = tuple(counts.items())
+        totals = self._totals
+        total = totals.get(key)
+        if total is None:
+            prices = self._table(counts)
+            total = sum(count * prices[event] for event, count in key)
+            if len(totals) >= PRICE_MEMO_ENTRIES:
+                del totals[next(iter(totals))]
+            totals[key] = total
+        return total
 
     def breakdown(self, trace: CostTrace) -> dict[str, float]:
         """Per-event millisecond contributions (sorted by event name)."""
+        prices = self._table(trace.counts)
         return {
-            event: count * self.price_of(event)
+            event: count * prices[event]
             for event, count in sorted(trace.counts.items())
         }
 

@@ -10,24 +10,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import SimulationError
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
 
 
 class Simulator:
     """Deterministic event-driven simulator with millisecond time."""
 
     def __init__(self) -> None:
-        self._queue: list[_Event] = []
+        #: ``(time, sequence, callback)`` heap; the unique sequence number
+        #: settles every tie, so callbacks are never compared.
+        self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
         self.now: float = 0.0
         self._events_processed = 0
@@ -38,9 +32,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now {self.now}"
             )
-        heapq.heappush(
-            self._queue, _Event(time, next(self._sequence), callback)
-        )
+        heapq.heappush(self._queue, (time, next(self._sequence), callback))
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after ``delay`` milliseconds."""
@@ -62,17 +54,16 @@ class Simulator:
         """Run the next event; returns False if the queue is empty."""
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)
-        self.now = event.time
+        self.now, _, callback = heapq.heappop(self._queue)
         self._events_processed += 1
-        event.callback()
+        callback()
         return True
 
     def run(self, until: float | None = None, max_events: int = 1_000_000) -> float:
         """Run until the queue drains (or ``until``); returns final time."""
         processed = 0
         while self._queue:
-            if until is not None and self._queue[0].time > until:
+            if until is not None and self._queue[0][0] > until:
                 self.now = until
                 break
             if processed >= max_events:

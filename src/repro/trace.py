@@ -34,7 +34,6 @@ traces instead of redoing the host work.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextvars import ContextVar
 
 #: Active recorders: every open :class:`CostTrace` plus any open
@@ -48,28 +47,38 @@ class CostTrace:
     """A counter of primitive-operation events.
 
     Attributes:
-        counts: mapping of event name to number of occurrences.
+        counts: plain dict of event name to number of occurrences, in
+            the order each event was first recorded.  Pricing sums in
+            that order and memoizes totals keyed by the ordered items
+            (:meth:`repro.hardware.CostModel.price`), so the order is
+            part of a trace's value.
         label: optional human-readable label (used in reports).
     """
 
     __slots__ = ("counts", "label")
 
     def __init__(self, label: str = "") -> None:
-        self.counts: Counter[str] = Counter()
+        self.counts: dict[str, int] = {}
         self.label = label
 
     def record(self, event: str, n: int = 1) -> None:
         """Add ``n`` occurrences of ``event`` to this trace."""
-        self.counts[event] += n
+        counts = self.counts
+        counts[event] = counts.get(event, 0) + n
 
     def merge(self, other: "CostTrace") -> None:
-        """Fold another trace's counts into this one."""
-        self.counts.update(other.counts)
+        """Fold another trace's counts into this one.
+
+        Events new to this trace follow its own, in ``other``'s order.
+        """
+        counts = self.counts
+        for event, n in other.counts.items():
+            counts[event] = counts.get(event, 0) + n
 
     def copy(self) -> "CostTrace":
         """Return an independent copy of this trace."""
         dup = CostTrace(self.label)
-        dup.counts = Counter(self.counts)
+        dup.counts = dict(self.counts)
         return dup
 
     def __getitem__(self, event: str) -> int:

@@ -403,6 +403,39 @@ class TestWorkerSupervision:
             orch.run()
 
 
+class TestSpawnStartMethod:
+    """Hosts without ``fork`` start workers as fresh interpreters.
+
+    A spawned worker inherits nothing: its payload is pickled and the
+    ambient backend arrives resolved to a name in its config.
+    """
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_spawned_workers_match_the_serial_digest(
+        self, monkeypatch, observed
+    ):
+        from repro.fleet import parallel as par
+
+        started = []
+
+        def spawn() -> str:
+            started.append("spawn")
+            return "spawn"
+
+        monkeypatch.setattr(par, "_start_method", spawn)
+        config = _base(b"spawn-parity", shards=2, n_vehicles=8)
+        serial = run_fleet(config).stats
+        obs = Observer() if observed else None
+        spawned = run_fleet(
+            dataclasses.replace(config, workers=2), obs=obs
+        ).stats
+        assert started == ["spawn"]
+        assert spawned.digest() == serial.digest()
+        if observed:
+            assert obs.meta["workers"] == 2
+            assert obs.meta["digest"] == serial.digest()
+
+
 # -- placement prediction -----------------------------------------------------
 
 

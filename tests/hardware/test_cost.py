@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import HardwareModelError
+from repro.fleet import FleetConfig, run_fleet
 from repro.hardware import (
     DEVICES,
     CostModel,
@@ -16,6 +18,7 @@ from repro.hardware import (
     ec_units,
     sym_units,
 )
+from repro.hardware.cost import PRICE_MEMO_ENTRIES
 from repro.trace import CostTrace
 
 #: Priced event names plus arbitrary unpriced ones.
@@ -80,6 +83,136 @@ class TestCostModel:
             CostModel(0.0, 0.1).validate()
         with pytest.raises(HardwareModelError):
             CostModel(1.0, -0.1).validate()
+
+
+class TestExtraMsIsOwned:
+    """The model copies ``extra_ms``; the caller's dict stays the caller's."""
+
+    @staticmethod
+    def _trace() -> CostTrace:
+        t = CostTrace()
+        t.record("sha2.block", 2)
+        t.record("custom.event", 3)
+        return t
+
+    def test_edit_after_pricing_changes_nothing(self):
+        extra = {"custom.event": 1.0}
+        model = CostModel(10.0, 0.5, extra_ms=extra)
+        t = self._trace()
+        assert model.price(t) == 4.0
+        extra["custom.event"] = 3.0
+        assert model.extra_ms == {"custom.event": 1.0}
+        assert model.price(t) == 4.0
+        assert model.breakdown(t) == {"custom.event": 3.0, "sha2.block": 1.0}
+        assert sum(model.breakdown(t).values()) == model.price(t)
+        assert model.sym_ms(t) == 1.0
+
+    def test_edit_before_pricing_changes_nothing(self):
+        extra = {"custom.event": 1.0}
+        model = CostModel(10.0, 0.5, extra_ms=extra)
+        extra["custom.event"] = 3.0
+        t = self._trace()
+        assert model.price_of("custom.event") == 1.0
+        assert model.price(t) == 4.0
+        assert sum(model.breakdown(t).values()) == 4.0
+        assert model.sym_ms(t) == 1.0
+        # A model built from the edited dict prices the edit.
+        assert CostModel(10.0, 0.5, extra_ms=extra).price(t) == 10.0
+
+    def test_model_pickles_with_its_tables(self):
+        model = CostModel(10.0, 0.5, extra_ms={"custom.event": 1.0})
+        t = self._trace()
+        total = model.price(t)
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone == model
+        assert clone.price(t) == total
+        assert clone.breakdown(t) == model.breakdown(t)
+
+
+class TestPriceMemo:
+    """``price`` memoizes totals per ordered trace shape, within a bound."""
+
+    @staticmethod
+    def _ordered_sum(model: CostModel, items) -> float:
+        return sum(count * model.price_of(event) for event, count in items)
+
+    def test_each_first_seen_order_gets_its_own_entry(self):
+        # Summed left to right on Python 3.11, these prices give 0.0 in
+        # one order and 1.0 in the other, so a memo keyed by the counts
+        # alone would return the wrong bits for the second order.
+        model = CostModel(
+            1.0, 0.0, extra_ms={"big": 1e16, "one": 1.0, "neg": -1e16}
+        )
+        forward, backward = CostTrace(), CostTrace()
+        for event in ("big", "one", "neg"):
+            forward.record(event)
+        for event in ("big", "neg", "one"):
+            backward.record(event)
+        assert forward.as_dict() == backward.as_dict()
+        for t in (forward, backward):
+            assert model.price(t) == self._ordered_sum(model, t.counts.items())
+        assert len(model._totals) == 2
+        # Hits return the stored totals.
+        assert model.price(forward) == self._ordered_sum(
+            model, forward.counts.items()
+        )
+        assert model.price(backward) == self._ordered_sum(
+            model, backward.counts.items()
+        )
+        assert len(model._totals) == 2
+
+    def test_memo_never_grows_past_its_bound(self):
+        model = CostModel(100.0, 0.5)
+        for n in range(1, PRICE_MEMO_ENTRIES + 50):
+            t = CostTrace()
+            t.record("ec.mul_point", n)
+            t.record("sha2.block", 1)
+            assert model.price(t) == self._ordered_sum(model, t.counts.items())
+            assert len(model._totals) <= PRICE_MEMO_ENTRIES
+        assert len(model._totals) == PRICE_MEMO_ENTRIES
+        # The oldest shapes went first; the latest is still memoized.
+        assert (("ec.mul_point", 1), ("sha2.block", 1)) not in model._totals
+        assert (
+            ("ec.mul_point", PRICE_MEMO_ENTRIES + 49),
+            ("sha2.block", 1),
+        ) in model._totals
+
+    def test_memo_is_per_model(self):
+        t = CostTrace()
+        t.record("ec.mul_point")
+        cheap, dear = CostModel(1.0, 0.0), CostModel(2.0, 0.0)
+        assert cheap.price(t) == 1.0
+        assert dear.price(t) == 2.0
+        assert dataclasses.replace(cheap, scalar_mult_ms=3.0).price(t) == 3.0
+
+    @pytest.mark.parametrize("backend", ["reference", "accelerated"])
+    def test_fleet_run_totals_equal_the_ordered_sum(self, monkeypatch, backend):
+        priced = []
+        memoized_price = CostModel.price
+
+        def spy(model, trace):
+            total = memoized_price(model, trace)
+            priced.append((model, tuple(trace.counts.items()), total))
+            return total
+
+        monkeypatch.setattr(CostModel, "price", spy)
+        run_fleet(
+            FleetConfig(
+                n_vehicles=6,
+                seed=b"price-memo",
+                records_per_vehicle=3,
+                max_records=2,
+                shards=2,
+                v2v_fraction=0.5,
+                v2v_records=2,
+                backend=backend,
+            )
+        )
+        assert len(priced) > 50
+        shapes = {(id(model), items) for model, items, _ in priced}
+        assert len(shapes) < len(priced)  # the run hits the memo
+        for model, items, total in priced:
+            assert total == self._ordered_sum(model, items)
 
 
 class TestPriceBitIdentity:

@@ -57,6 +57,25 @@ class TestSimulator:
         assert sim.now == 5.0
         assert sim.pending == 1
 
+    def test_run_until_reads_the_head_events_time(self):
+        # The heap holds (time, sequence, callback) tuples: ``until`` is
+        # compared with the time of the event at the head, inclusively,
+        # and the clock lands on the head's time when that event fires.
+        sim = Simulator()
+        fired = []
+        for when in (7.0, 3.0, 3.0, 9.0):
+            sim.schedule_at(when, lambda w=when: fired.append((w, sim.now)))
+        assert sim.run(until=3.0) == 3.0
+        assert fired == [(3.0, 3.0), (3.0, 3.0)]
+        assert sim.run(until=7.0) == 7.0
+        assert fired[-1] == (7.0, 7.0)
+        assert sim.pending == 1
+        assert sim.run(until=8.5) == 8.5
+        assert sim.pending == 1
+        assert sim.run() == 9.0
+        assert fired[-1] == (9.0, 9.0)
+        assert sim.events_processed == 4
+
     def test_past_scheduling_rejected(self):
         sim = Simulator()
         sim.schedule_at(5.0, lambda: sim.schedule_at(1.0, lambda: None))

@@ -277,6 +277,21 @@ class TestCommittedArtifacts:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "regression gate: OK" in result.stdout
 
+    def test_committed_quick_fleet_baseline_records_every_scale_root(self):
+        # Each scale cell's telemetry root is what a later drift in its
+        # metric planes is diffed from; a cell without one cannot be.
+        path = os.path.join(
+            _REPO_ROOT, "benchmarks", "baselines", "BENCH_fleet_quick.json"
+        )
+        with open(path) as fh:
+            payload = json.load(fh)
+        scale_cells = payload["scale"]["cells"]
+        assert scale_cells
+        roots = gate.extract_tree_roots(payload)
+        for cell in scale_cells:
+            key = gate._cell_key(payload["benchmark"], cell, scale=True)
+            assert roots.get(key), f"scale cell {key} records no tree_root"
+
     def test_perturbed_committed_topology_fails(self, tmp_path):
         with open(os.path.join(_REPO_ROOT, "BENCH_topology.json")) as fh:
             payload = json.load(fh)

@@ -107,6 +107,43 @@ class TestTrace:
         a.merge(b)
         assert a["x"] == 5
 
+    def test_counts_are_a_plain_dict_in_first_seen_order(self):
+        with trace.trace() as t:
+            trace.record("b")
+            trace.record("a", 2)
+            trace.record("b", 3)
+        assert type(t.counts) is dict
+        assert list(t.counts.items()) == [("b", 4), ("a", 2)]
+
+    def test_merge_adds_counts_and_keeps_first_seen_order(self):
+        a = trace.CostTrace()
+        a.record("y", 1)
+        a.record("x", 2)
+        b = trace.CostTrace()
+        b.record("z", 5)
+        b.record("x", 3)
+        b.record("w", 1)
+        a.merge(b)
+        assert list(a.counts.items()) == [("y", 1), ("x", 5), ("z", 5), ("w", 1)]
+        assert list(b.counts.items()) == [("z", 5), ("x", 3), ("w", 1)]
+        empty = trace.CostTrace()
+        empty.merge(b)
+        assert list(empty.counts.items()) == list(b.counts.items())
+
+    def test_copy_is_independent(self):
+        a = trace.CostTrace("label")
+        a.record("x", 2)
+        a.record("y")
+        b = a.copy()
+        assert b.label == "label"
+        assert b.counts is not a.counts
+        assert list(b.counts.items()) == list(a.counts.items())
+        b.record("x")
+        b.record("z")
+        a.record("w")
+        assert list(a.counts.items()) == [("x", 2), ("y", 1), ("w", 1)]
+        assert list(b.counts.items()) == [("x", 3), ("y", 1), ("z", 1)]
+
     def test_scope_exits_cleanly_on_error(self):
         with pytest.raises(ValueError):
             with trace.trace():
