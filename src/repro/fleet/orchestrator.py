@@ -35,9 +35,9 @@ is explicit rather than implied:
 original single-gateway fleet *bit-for-bit* — same DRBG streams, same
 event schedule, same :class:`~repro.fleet.stats.FleetStats` digest.
 
-Every computation runs the real cryptography once, is priced on the
-hardware cost model, and is laid onto the
-:class:`~repro.sim.engine.Simulator` timeline:
+Every computation runs the real cryptography once, is priced once on
+the hardware cost model (its energy follows from that time), and is
+laid onto the :class:`~repro.sim.engine.Simulator` timeline:
 
 * each vehicle computes on its own (slow, constrained) device model;
 * a shard's CA/gateway computation contends that shard's
@@ -50,7 +50,8 @@ hardware cost model, and is laid onto the
 * ephemeral pools (:class:`~repro.protocols.pool.EphemeralPool`) built
   with :func:`~repro.ec.mul_base_batch` amortize Op1 across sessions;
 * V2V traffic prices both endpoints on the vehicle device model and
-  touches no central resource at all.
+  touches no central resource at all.  Otherwise the two link kinds
+  share one handshake and one record delivery.
 
 Determinism: all randomness flows from seeded DRBGs and one seeded
 ``random.Random`` for arrival jitter, so two runs with equal
@@ -59,7 +60,6 @@ Determinism: all randomness flows from seeded DRBGs and one seeded
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from .. import trace
@@ -581,6 +581,27 @@ class FleetOrchestrator:
         if self._hooks is not None:
             self._hooks.on(step, self, vehicle, data)
 
+    # -- pricing ---------------------------------------------------------------
+
+    def _book_vehicle(self, cost) -> float:
+        """Price ``cost`` once on the vehicle device and book its energy.
+
+        Returns the time in ms; a vehicle's own device never contends.
+        """
+        ms = self.vehicle_device.time_ms(cost)
+        self._vehicle_energy.add(self.vehicle_device.energy_of_ms(ms))
+        return ms
+
+    def _book_shard(self, shard: GatewayShard, cost, earliest: float):
+        """Price ``cost`` once on ``shard``'s device and book its energy.
+
+        The work occupies the shard resource from ``earliest`` on;
+        returns the granted ``(start, end)``.
+        """
+        ms = shard.device.time_ms(cost)
+        shard.energy_mj += shard.device.energy_of_ms(ms)
+        return shard.resource.reserve(earliest, ms)
+
     # -- enrollment ------------------------------------------------------------
 
     def _arrive(self, vehicle: Vehicle) -> None:
@@ -615,8 +636,7 @@ class FleetOrchestrator:
             request = requester.create_request(
                 authenticate=self.config.authenticate_requests
             )
-        duration = self.vehicle_device.time_ms(cost)
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(cost))
+        duration = self._book_vehicle(cost)
 
         def submit() -> None:
             shard = place()
@@ -678,9 +698,7 @@ class FleetOrchestrator:
         # Bind the issuing key now: a rejoin may roll shard.ca to a new
         # epoch before this batch's delivery event fires.
         issuer_public = shard.ca.public_key
-        duration = shard.device.time_ms(cost)
-        shard.energy_mj += shard.device.energy_mj(cost)
-        start, end = shard.resource.reserve(self.sim.now, duration)
+        start, end = self._book_shard(shard, cost, self.sim.now)
         for entry in legit:
             wait = start - entry.queued_at
             shard.queue_latency.add(wait)
@@ -729,8 +747,7 @@ class FleetOrchestrator:
                     ),
                     self.config.pool_size,
                 )
-        duration = self.vehicle_device.time_ms(cost)
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(cost))
+        duration = self._book_vehicle(cost)
 
         def enrolled() -> None:
             shard.enrollments += 1
@@ -1087,57 +1104,70 @@ class FleetOrchestrator:
 
     # -- session establishment -------------------------------------------------
 
-    def _credential_retired(self, vehicle: Vehicle) -> bool:
-        """True when the vehicle's certificate chain epoch was rolled."""
+    def _re_enroll_stale(self, vehicle: Vehicle, reason: str, retry) -> bool:
+        """Re-enroll ``vehicle`` first if its chain epoch was retired.
+
+        A gateway rejoin rolls the chain epoch and the trust store then
+        rejects the old chain, so the vehicle pulls a fresh certificate
+        at its shard (failing over first if that shard is down) and
+        ``retry()`` runs once it is in.  Returns whether this took over.
+        """
         store = self.topology.trust_store
-        return (
-            store is not None
-            and vehicle.credential is not None
-            and store.is_retired(
-                vehicle.credential.certificate.authority_key_id
-            )
-        )
+        credential = vehicle.credential
+        if (
+            store is None
+            or credential is None
+            or not store.is_retired(credential.certificate.authority_key_id)
+        ):
+            return False
+        shard = self.shards[vehicle.shard]
+        if shard.failed:
+            shard = self._handover(vehicle)
+        self._re_enroll(vehicle, shard, reason=reason, then=retry)
+        return True
+
+    def _handshake(self, manager_a, manager_b, psk_personalization: bytes):
+        """Run the configured protocol between two session managers.
+
+        Opens a context on each side, ``manager_a`` first (a context's
+        DRBG is seeded from its owner's next session number), installs a
+        pairwise PSK drawn from ``psk_personalization`` when the protocol
+        needs one, and returns both parties and the handshake's bus ms.
+        """
+        ctx_a = manager_a.context_factory()
+        ctx_b = manager_b.context_factory()
+        info = get_protocol(self.config.protocol)
+        if info.needs_pairwise_psk:
+            rng = HmacDrbg(self.config.seed, personalization=psk_personalization)
+            install_pairwise_key(ctx_a, ctx_b, rng.generate(32))
+        party_a, party_b = info.factory(ctx_a, ctx_b)
+        transcript = run_protocol(party_a, party_b)
+        bus_ms = transcript.total_bytes * self.config.bus_ms_per_byte
+        return party_a, party_b, bus_ms
 
     def _establish(self, vehicle: Vehicle, then=None) -> None:
         shard = self.shards[vehicle.shard]
         if shard.failed:
             shard = self._handover(vehicle)
-        if self._credential_retired(vehicle):
-            # The issuing sub-CA's epoch was rolled by a gateway rejoin:
-            # the trust store rejects the old chain, so pull a fresh
-            # certificate at the serving shard before establishing.
-            self._re_enroll(
-                vehicle,
-                shard,
-                reason="chain epoch rolled",
-                then=lambda: self._establish(vehicle, then=then),
-            )
+        if self._re_enroll_stale(
+            vehicle,
+            "chain epoch rolled",
+            lambda: self._establish(vehicle, then=then),
+        ):
             return
         started = self.sim.now
         self._note("establish", vehicle)
-        ctx_vehicle = vehicle.manager.context_factory()
-        ctx_gateway = shard.manager.context_factory()
-        info = get_protocol(self.config.protocol)
-        if info.needs_pairwise_psk:
-            psk = HmacDrbg(
-                self.config.seed,
-                personalization=b"fleet|psk|%s" % vehicle.name.encode(),
-            ).generate(32)
-            install_pairwise_key(ctx_vehicle, ctx_gateway, psk)
-        party_v, party_g = info.factory(ctx_vehicle, ctx_gateway)
-        transcript = run_protocol(party_v, party_g)
-        vehicle_ms = self.vehicle_device.time_ms(party_v.total_cost())
-        gateway_ms = shard.device.time_ms(party_g.total_cost())
-        self._vehicle_energy.add(
-            self.vehicle_device.energy_mj(party_v.total_cost())
+        party_v, party_g, bus_ms = self._handshake(
+            vehicle.manager,
+            shard.manager,
+            b"fleet|psk|%s" % vehicle.name.encode(),
         )
-        shard.energy_mj += shard.device.energy_mj(party_g.total_cost())
-        bus_ms = transcript.total_bytes * self.config.bus_ms_per_byte
+        vehicle_ms = self._book_vehicle(party_v.total_cost())
         # The vehicle computes locally first; the gateway's share contends
         # the shard's central device with every other establishment and
         # certificate issuance that shard serves.
-        _, gateway_end = shard.resource.reserve(
-            started + vehicle_ms, gateway_ms
+        _, gateway_end = self._book_shard(
+            shard, party_g.total_cost(), started + vehicle_ms
         )
         done = gateway_end + bus_ms
 
@@ -1200,6 +1230,29 @@ class FleetOrchestrator:
         vehicle.pool = None
         if vehicle.v2v_peer_index is None:
             vehicle.manager = None
+
+    def _deliver(self, text: bytes, sender, receiver):
+        """Carry one application record over an established session.
+
+        ``sender`` and ``receiver`` are ``(manager, device id, name)``.
+        The payload is ``text`` padded with dots or cut to
+        ``record_bytes``, sealed and opened under one trace scope each.
+        Returns the wire record and both (unpriced) traces; a receiver
+        that opens anything but the payload raises ``SimulationError``.
+        """
+        send_manager, send_id, send_name = sender
+        recv_manager, recv_id, recv_name = receiver
+        size = self.config.record_bytes
+        payload = text.ljust(size, b".")[:size]
+        with trace.trace(f"{send_name}:send") as send_cost:
+            record = send_manager.send(recv_id, payload)
+        with trace.trace(f"{recv_name}:receive") as recv_cost:
+            received = recv_manager.receive(send_id, record)
+        if received != payload:
+            raise SimulationError(
+                f"{recv_name} decrypted a wrong payload from {send_name}"
+            )
+        return record, send_cost, recv_cost
 
     def _send(self, vehicle: Vehicle) -> None:
         if vehicle.migrating:
@@ -1265,29 +1318,19 @@ class FleetOrchestrator:
             self._note("rekey", vehicle, detail)
             self._establish(vehicle)
             return
-        payload = (
-            b"%s|%06d" % (vehicle.name.encode(), vehicle.records_sent)
-        ).ljust(self.config.record_bytes, b".")[: self.config.record_bytes]
-        with trace.trace(f"{vehicle.name}:send") as send_cost:
-            record = vehicle.manager.send(shard.gateway_id, payload)
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(send_cost))
-        with trace.trace("gateway:receive") as recv_cost:
-            received = shard.manager.receive(vehicle.device_id, record)
-        if received != payload:
-            raise SimulationError(
-                f"gateway decrypted wrong payload for {vehicle.name}"
-            )
-        shard.energy_mj += shard.device.energy_mj(recv_cost)
-        shard.resource.reserve(
-            self.sim.now, shard.device.time_ms(recv_cost)
+        record, send_cost, recv_cost = self._deliver(
+            b"%s|%06d" % (vehicle.name.encode(), vehicle.records_sent),
+            (vehicle.manager, vehicle.device_id, vehicle.name),
+            (shard.manager, shard.gateway_id, "gateway"),
         )
+        send_ms = self._book_vehicle(send_cost)
+        self._book_shard(shard, recv_cost, self.sim.now)
         if self._capture_wire:
             # The replay-storm adversary records the wire verbatim.
             self._captured_records[vehicle.index] = record
         vehicle.records_sent += 1
         self._counters["records_sent"] += 1
         self._note("record", vehicle, record_bytes=len(record))
-        send_ms = self.vehicle_device.time_ms(send_cost)
         bus_ms = len(record) * self.config.bus_ms_per_byte
         self.sim.schedule_after(
             self._send_interval(vehicle) + send_ms + bus_ms,
@@ -1323,45 +1366,22 @@ class FleetOrchestrator:
         sides — the chained-validation path this topology exists for.
         """
         for vehicle in (initiator, responder):
-            if self._credential_retired(vehicle):
-                # A gateway rejoin rolled this endpoint's chain epoch
-                # since its last enrollment; the peer's trust store would
-                # reject the stale chain, so re-enroll first and retry.
-                shard = self.shards[vehicle.shard]
-                if shard.failed:
-                    shard = self._handover(vehicle)
-                self._re_enroll(
-                    vehicle,
-                    shard,
-                    reason="chain epoch rolled (v2v)",
-                    then=lambda: self._establish_v2v(
-                        initiator, responder, rekey
-                    ),
-                )
+            if self._re_enroll_stale(
+                vehicle,
+                "chain epoch rolled (v2v)",
+                lambda: self._establish_v2v(initiator, responder, rekey),
+            ):
                 return
         started = self.sim.now
         self._note("v2v-establish", initiator, responder=responder, rekey=rekey)
-        ctx_initiator = initiator.manager.context_factory()
-        ctx_responder = responder.manager.context_factory()
-        info = get_protocol(self.config.protocol)
-        if info.needs_pairwise_psk:
-            psk = HmacDrbg(
-                self.config.seed,
-                personalization=b"fleet|v2v-psk|%s|%s"
-                % (initiator.name.encode(), responder.name.encode()),
-            ).generate(32)
-            install_pairwise_key(ctx_initiator, ctx_responder, psk)
-        party_i, party_r = info.factory(ctx_initiator, ctx_responder)
-        transcript = run_protocol(party_i, party_r)
-        initiator_ms = self.vehicle_device.time_ms(party_i.total_cost())
-        responder_ms = self.vehicle_device.time_ms(party_r.total_cost())
-        self._vehicle_energy.add(
-            self.vehicle_device.energy_mj(party_i.total_cost())
+        party_i, party_r, bus_ms = self._handshake(
+            initiator.manager,
+            responder.manager,
+            b"fleet|v2v-psk|%s|%s"
+            % (initiator.name.encode(), responder.name.encode()),
         )
-        self._vehicle_energy.add(
-            self.vehicle_device.energy_mj(party_r.total_cost())
-        )
-        bus_ms = transcript.total_bytes * self.config.bus_ms_per_byte
+        initiator_ms = self._book_vehicle(party_i.total_cost())
+        responder_ms = self._book_vehicle(party_r.total_cost())
         done = started + initiator_ms + responder_ms + bus_ms
 
         def finish() -> None:
@@ -1418,30 +1438,21 @@ class FleetOrchestrator:
             self._note("v2v-rekey", initiator, detail)
             self._establish_v2v(initiator, responder, rekey=True)
             return
-        payload = (
+        record, send_cost, recv_cost = self._deliver(
             b"%s>%s|%06d"
             % (
                 initiator.name.encode(),
                 responder.name.encode(),
                 initiator.v2v_records_sent,
-            )
-        ).ljust(self.config.record_bytes, b".")[: self.config.record_bytes]
-        with trace.trace(f"{initiator.name}:v2v-send") as send_cost:
-            record = initiator.manager.send(responder.device_id, payload)
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(send_cost))
-        with trace.trace(f"{responder.name}:v2v-receive") as recv_cost:
-            received = responder.manager.receive(initiator.device_id, record)
-        if received != payload:
-            raise SimulationError(
-                f"{responder.name} decrypted wrong V2V payload from"
-                f" {initiator.name}"
-            )
-        self._vehicle_energy.add(self.vehicle_device.energy_mj(recv_cost))
+            ),
+            (initiator.manager, initiator.device_id, initiator.name),
+            (responder.manager, responder.device_id, responder.name),
+        )
+        send_ms = self._book_vehicle(send_cost)
+        recv_ms = self._book_vehicle(recv_cost)
         initiator.v2v_records_sent += 1
         self._counters["v2v_records_sent"] += 1
         self._note("v2v-record", initiator)
-        send_ms = self.vehicle_device.time_ms(send_cost)
-        recv_ms = self.vehicle_device.time_ms(recv_cost)
         bus_ms = len(record) * self.config.bus_ms_per_byte
         self.sim.schedule_after(
             self.config.send_interval_ms + send_ms + bus_ms + recv_ms,
@@ -1449,17 +1460,9 @@ class FleetOrchestrator:
         )
 
     # -- adversarial injections --------------------------------------------------
-
-    def _charge_gateway(self, shard: GatewayShard, cost) -> None:
-        """Price defensive work on the shard's device and resource.
-
-        The adversary's own compute is free (it runs on attacker
-        hardware), but every verification/validation the *gateway* does
-        to reject an attack contends the shard resource — the DoS
-        pressure legitimate traffic feels.
-        """
-        shard.energy_mj += shard.device.energy_mj(cost)
-        shard.resource.reserve(self.sim.now, shard.device.time_ms(cost))
+    # The adversary computes on its own hardware, for free; the gateway's
+    # work to reject an attack is booked on its shard and contends the
+    # shard resource: the DoS pressure legitimate traffic feels.
 
     def _inject_replay_storm(self, spec: ReplayStorm, log: dict) -> None:
         """Replay captured vehicle→gateway records at the target shard.
@@ -1504,7 +1507,7 @@ class FleetOrchestrator:
                     log["rejected"] += 1
                 else:
                     log["succeeded"] += 1
-            self._charge_gateway(shard, cost)
+            self._book_shard(shard, cost, self.sim.now)
 
     def _inject_stale_cert_flood(self, spec: StaleCertFlood, log: dict) -> None:
         """Present retired chain-epoch certificates for validation.
@@ -1538,7 +1541,7 @@ class FleetOrchestrator:
                     log["rejected"] += 1
                 else:
                     log["succeeded"] += 1
-            self._charge_gateway(shard, cost)
+            self._book_shard(shard, cost, self.sim.now)
 
     def _inject_ca_flood(
         self, index: int, spec: CaQueueFlood, log: dict
@@ -1761,20 +1764,16 @@ class FleetOrchestrator:
 def run_fleet(
     config: FleetConfig | None = None,
     scenario: "Scenario | None" = None,
-    backend: str | None = None,
     obs=None,
 ) -> FleetResult:
     """Convenience one-shot: build an orchestrator and run it.
 
     Args:
-        config: fleet shape and policies (defaults to ``FleetConfig()``).
+        config: fleet shape and policies (defaults to ``FleetConfig()``);
+            ``config.backend`` picks the crypto backend of the run.
         scenario: optional declarative workload
             (:class:`~repro.fleet.scenario.Scenario`); ``None`` runs the
             legacy uniform arrival storm.
-        backend: crypto backend override for this run; equivalent to
-            setting ``config.backend`` and wins over it when both are
-            given.  Bit-parity by contract, so the stats digest does not
-            depend on it.
         obs: optional :class:`repro.obs.Observer` collecting spans,
             metrics and heartbeats for this run (also returned on
             ``FleetResult.obs``).  Observability is digest-neutral:
@@ -1798,12 +1797,11 @@ def run_fleet(
 
             >>> fast = run_fleet(FleetConfig(
             ...     n_vehicles=2, seed=b"docs-fleet", records_per_vehicle=2,
-            ...     max_records=2, arrival_spread_ms=5.0), backend="accelerated").stats
+            ...     max_records=2, arrival_spread_ms=5.0,
+            ...     backend="accelerated")).stats
             >>> fast.digest() == stats.digest()
             True
     """
     if config is None:
         config = FleetConfig()
-    if backend is not None:
-        config = dataclasses.replace(config, backend=backend)
     return FleetOrchestrator(config, scenario=scenario, obs=obs).run()

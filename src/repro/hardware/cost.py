@@ -140,9 +140,10 @@ class CostModel:
 
     def sym_ms(self, trace: CostTrace) -> float:
         """Milliseconds attributable to symmetric-crypto events only."""
-        return self.price(trace) - self.ec_ms(trace) - sum(
-            count * self.extra_ms.get(event, 0.0)
+        return sum(
+            count * SYM_RELATIVE_WEIGHTS[event] * self.hash_block_ms
             for event, count in trace.counts.items()
+            if event in SYM_RELATIVE_WEIGHTS
         )
 
     def validate(self) -> None:

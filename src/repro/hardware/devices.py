@@ -58,12 +58,16 @@ class DeviceModel:
         return self.cost.price(trace)
 
     def energy_mj(self, trace: CostTrace) -> float:
-        """Energy (millijoules) for a traced computation.
+        """Energy (millijoules) for a traced computation."""
+        return self.energy_of_ms(self.time_ms(trace))
+
+    def energy_of_ms(self, ms: float) -> float:
+        """Energy (millijoules) of ``ms`` milliseconds of computation.
 
         ``E = P_active * t`` — the quantity a PPK2 power profiler would
         integrate over the operation window.
         """
-        return self.active_power_mw * self.time_ms(trace) / 1_000.0
+        return self.active_power_mw * ms / 1_000.0
 
 
 ATMEGA2560 = DeviceModel(

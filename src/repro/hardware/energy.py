@@ -3,7 +3,9 @@
 The paper measured protocol runs with system ticks *and* a Nordic Power
 Profiler Kit II.  We reconstruct the energy figure as active power
 integrated over modelled execution time — sufficient for the relative
-comparisons the paper draws.
+comparisons the paper draws.  Each station is priced once; its energy
+follows from that time (:meth:`~repro.hardware.DeviceModel.energy_of_ms`),
+the bits ``energy_mj`` of the station's total cost would return.
 """
 
 from __future__ import annotations
@@ -61,6 +63,6 @@ def estimate_energy(
         device_b=device_b.name,
         ms_a=ms_a,
         ms_b=ms_b,
-        mj_a=device_a.active_power_mw * ms_a / 1_000.0,
-        mj_b=device_b.active_power_mw * ms_b / 1_000.0,
+        mj_a=device_a.energy_of_ms(ms_a),
+        mj_b=device_b.energy_of_ms(ms_b),
     )

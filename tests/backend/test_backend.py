@@ -327,11 +327,11 @@ sys.modules["cryptography"] = None
 from repro.backend.accelerated import AES_ACCELERATED, AcceleratedBackend
 from repro.backend.ec_accelerated import OPENSSL_EC
 from repro.fleet import FleetConfig, run_fleet
-config = FleetConfig(
-    n_vehicles=2, seed=b"no-cryptography", records_per_vehicle=2, max_records=1
-)
 digests = {
-    backend: run_fleet(config, backend=backend).stats.digest()
+    backend: run_fleet(FleetConfig(
+        n_vehicles=2, seed=b"no-cryptography", records_per_vehicle=2,
+        max_records=1, backend=backend,
+    )).stats.digest()
     for backend in ("reference", "accelerated")
 }
 print(OPENSSL_EC, AES_ACCELERATED)

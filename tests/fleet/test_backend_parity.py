@@ -144,10 +144,6 @@ class TestCrossBackendEquality:
         assert reference.attack_successes == 0
         assert reference.digest() == accelerated.digest()
 
-    def test_run_fleet_backend_kwarg_wins_over_config(self):
-        result = run_fleet(_PR1_CONFIG, backend="accelerated")
-        assert result.stats.digest() == _PR1_DIGEST
-
     def test_ambient_backend_scope_reproduces_goldens(self):
         # REPRO_BACKEND=accelerated CI lane equivalent: no config knob,
         # just the ambient backend.

@@ -8,10 +8,16 @@ pooled/pool-less ablation.
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.fleet import FleetConfig, FleetOrchestrator, run_fleet
+from repro.hardware import CostModel, DeviceModel
+from repro.protocols import SessionManager
+from repro.protocols.base import Party
 
 #: One small storm shared by the read-only assertions (runs real crypto
 #: once for the whole module).
@@ -198,3 +204,85 @@ class TestConfigValidation:
         )
         assert orchestrator.shards[0].resource.name == "central-ca"
         assert orchestrator.shards[0].manager.role == "B"
+
+
+#: One run per link kind: gateway links only, and gateway plus V2V links
+#: over two shards, re-keying after every record.
+_LINK_CONFIGS = {
+    "gateway": FleetConfig(
+        n_vehicles=4, seed=b"count", records_per_vehicle=5
+    ),
+    "v2v": FleetConfig(
+        n_vehicles=8,
+        seed=b"count",
+        records_per_vehicle=3,
+        max_records=1,
+        shards=2,
+        v2v_fraction=0.5,
+        v2v_records=3,
+    ),
+}
+
+
+class TestOneLink:
+    """Both link kinds price each computation once and check each record."""
+
+    @pytest.mark.parametrize("backend", ["reference", "accelerated"])
+    @pytest.mark.parametrize("link, priced", [("gateway", 60), ("v2v", 144)])
+    def test_each_computation_priced_once(
+        self, monkeypatch, backend, link, priced
+    ):
+        calls = Counter()
+        for owner, name in (
+            (CostModel, "price"),
+            (DeviceModel, "energy_mj"),
+            (Party, "total_cost"),
+        ):
+            monkeypatch.setattr(owner, name, _counted(calls, owner, name))
+        config = dataclasses.replace(_LINK_CONFIGS[link], backend=backend)
+        stats = run_fleet(config).stats
+        sessions = stats.sessions_established + stats.v2v_sessions
+        assert calls["total_cost"] == 2 * sessions
+        # Each enrollment prices a request and a reception, each CA batch
+        # its issuance, each session both parties and each record its
+        # send and its receive.
+        traces = (
+            2 * stats.enrollments
+            + stats.ca_batches
+            + 2 * sessions
+            + 2 * (stats.records_sent + stats.v2v_records_sent)
+        )
+        assert calls["price"] == traces == priced
+        assert calls["energy_mj"] == 0
+
+    @pytest.mark.parametrize(
+        "link, receiver_role, match",
+        [
+            ("gateway", "B", r"gateway decrypted a wrong payload from veh"),
+            ("v2v", "A", r"veh\d+ decrypted a wrong payload from veh\d+"),
+        ],
+    )
+    def test_wrong_decrypt_raises(
+        self, monkeypatch, link, receiver_role, match
+    ):
+        # Gateways hold "B" managers; vehicles hold "A" managers, which
+        # receive only V2V records.
+        receive = SessionManager.receive
+
+        def tampered(manager, peer_id, record):
+            payload = receive(manager, peer_id, record)
+            return b"tampered" if manager.role == receiver_role else payload
+
+        monkeypatch.setattr(SessionManager, "receive", tampered)
+        with pytest.raises(SimulationError, match=match):
+            run_fleet(_LINK_CONFIGS[link])
+
+
+def _counted(calls: Counter, owner, name: str):
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return wrapper

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import pickle
 
 import pytest
@@ -76,6 +77,19 @@ class TestCostModel:
         t.record("sha2.block", 2)
         assert self.MODEL.ec_ms(t) == pytest.approx(100.0)
         assert self.MODEL.sym_ms(t) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("device", sorted(DEVICES))
+    def test_sym_ms_is_zero_without_symmetric_events(self, device):
+        # A difference of two float totals leaves residue (-1.8e-15 ms
+        # on rpi4 at counts 5/3/3), so only symmetric events are summed.
+        model = DEVICES[device].cost
+        events = ("ec.mul_double", "mod.inv", "ec.add")
+        for counts in itertools.product(range(1, 6), repeat=len(events)):
+            t = CostTrace()
+            for event, n in zip(events, counts):
+                t.record(event, n)
+            assert model.sym_ms(t) == 0.0, counts
+            assert model.ec_ms(t) > 0.0
 
     def test_validate(self):
         CostModel(1.0, 0.0).validate()

@@ -132,3 +132,18 @@ class TestEnergy:
         assert est.device_a == "s32k144"
         assert est.device_b == "rpi4"
         assert est.mj_a != est.mj_b
+
+    @pytest.mark.parametrize("protocol", ["sts", "scianc"])
+    @pytest.mark.parametrize(
+        "device_a, device_b",
+        [(S32K144, RASPBERRY_PI4), (ATMEGA2560, ATMEGA2560)],
+    )
+    def test_energy_is_each_party_priced_through_energy_mj(
+        self, transcripts, protocol, device_a, device_b
+    ):
+        # Energy follows from the one priced time, bit for bit.
+        transcript = transcripts[protocol]
+        est = estimate_energy(transcript, device_a, device_b)
+        party_a, party_b = transcript.party_a, transcript.party_b
+        assert est.mj_a == device_a.energy_mj(party_a.total_cost())
+        assert est.mj_b == device_b.energy_mj(party_b.total_cost())
