@@ -22,8 +22,15 @@ Three claims are exercised:
 
 Run standalone for the full workload (used by the acceptance check)::
 
-    PYTHONPATH=src python benchmarks/bench_fleet_scale.py          # 500 sessions
+    PYTHONPATH=src python benchmarks/bench_fleet_scale.py          # 500 sessions + scale sweep
     PYTHONPATH=src python benchmarks/bench_fleet_scale.py --quick  # CI smoke
+
+Full mode runs more than the 500-session storm: after the storm and
+backend cells it runs the streaming scale sweep of
+:data:`SCALE_GRID_FULL` (10k vehicles × 1/2/4 workers, 100k × 1/4).
+The 10k-vehicle serial cell alone took 61 s on a 2-core host and each
+100k cell is ten times larger, so a full run takes tens of minutes.
+``--quick`` runs the same sweep at 300 and 1 200 vehicles.
 
 ``--backend accelerated`` runs the main storm itself on the accelerated
 backend (the parity cell then re-times the reference side).  Either mode

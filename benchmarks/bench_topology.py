@@ -53,7 +53,7 @@ PR2_GOLDEN_DIGESTS = {
         (1, 0.0): "9cf4287c6de92988e037135dae1470e2eb3ce01d7c9e3c585805a8b74fa1a366",
         (2, 0.0): "ddd5dd09a3d660b6e44d6138365650c894954c64b975c365c5fcaf0aa89e5cdf",
         (4, 0.0): "ff494a59d2563eb1f185c309db9b3bc5e976ad180cf05aa4595dc2cb00fed3b6",
-        (2, 0.3): "f4dcec0467873b621aeaca50642699a109cb0e6ac72eb189a4b696a3c3de7d1e",
+        (2, 0.3): "d33f5dadba656209cf6dfe90510264b32d80a77bef64fc5c3c965e95892d6f34",
     },
     "quick": {
         (1, 0.0): "7d19f80ec42a345d7050a71f3d7a176696dd24682be216642024fb3d789c6436",

@@ -19,7 +19,7 @@ The ``default`` bundle re-expresses today's hard-coded strategies
 **bit-for-bit**: every golden digest of PRs 1–9 is unchanged whether
 the engine runs with ``policy=None``, ``policy="default"``, serially,
 process-parallel or streaming (locked by
-``tests/fleet/test_policy_parity.py``).  Three guarantees make that
+``tests/fleet/test_goldens.py``).  Three guarantees make that
 possible:
 
 * **read-only state** — rules see frozen :class:`ShardView` /

@@ -18,7 +18,8 @@ Two contracts, inherited from :class:`repro.trace.CostTrace`:
   never schedule simulator events, and never mutate fleet state —
   every historical golden digest reproduces
   bit-identically with observability on or off
-  (``tests/fleet/test_obs_integration.py`` locks all of PR 1–6).
+  (``tests/fleet/test_goldens.py`` runs every golden with an observer
+  attached).
 
 Quickstart::
 

@@ -1,14 +1,11 @@
-"""Fleet churn: live migration, gateway rejoin, chain epochs, goldens.
+"""Fleet churn: live migration, gateway rejoin, chain epochs.
 
-Two contracts are locked down here:
-
-1. **Backwards compatibility** — with churn disabled, the orchestrator
-   reproduces the PR 2 digests bit-for-bit (golden values captured from
-   the pre-churn orchestrator on the exact same configurations).
-2. **Churn determinism** — the migration/rejoin scenarios are pure
-   functions of the seed: same seed ⇒ same digest, different seed ⇒
-   different digest (the seed-matrix test), with the whole lifecycle
-   visible in the epoch-aware stats.
+Churn scenarios are pure functions of the seed: same seed ⇒ same
+digest, different seed ⇒ different digest (the seed-matrix test), with
+the whole lifecycle visible in the epoch-aware stats.  With churn
+disabled the orchestrator reproduces the pre-churn topology goldens bit
+for bit; that is ``test_goldens.py``'s job, over the table in
+``goldens.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from goldens import GOLDENS
 from repro.errors import CertificateError, SimulationError
 from repro.fleet import (
     FleetConfig,
@@ -28,115 +26,38 @@ from repro.obs import Observer
 from repro.protocols import SessionExpired
 from repro.testbed import DEFAULT_NOW
 
-# -- golden digests captured from the PR 2 (pre-churn) orchestrator ----------
-
-#: ``_topology_config``-shaped runs (see tests/fleet/test_topology.py).
-_PR2_TOPOLOGY_GOLDENS = {
-    1: "a43e300427fe7035b2d2c1a68edaffe0d349313cf046a151c9f430aa153c6d4e",
-    2: "6ed2a66e4325260712dd84192d06bab8cef9303a3b50768d51567ee46bc04a41",
-    4: "3d0ba83a7e1369fa79147400588cf1bb013dc15809d89a6078f789992654df82",
-}
-_PR2_V2V_GOLDEN = (
-    "b6d8c193008cf2c60d08616e1d44d24d3797227489a1a3b31ff143a7aec3d5e4"
-)
-_PR2_FAILOVER_GOLDEN = (
-    "b5087aa40b037cd5709a3e735d9b7e41152aaef27908366bc84733415b38730d"
-)
-
 
 def _topology_config(**overrides) -> FleetConfig:
-    base = dict(
-        n_vehicles=6,
-        seed=b"topology-det",
-        records_per_vehicle=2,
-        max_records=4,
-        send_interval_ms=20.0,
-        arrival_spread_ms=15.0,
-    )
-    base.update(overrides)
-    return FleetConfig(**base)
+    """A variant of the table's single-shard topology run."""
+    return dataclasses.replace(GOLDENS["topology-1"].config, **overrides)
 
 
 def _churn_config(**overrides) -> FleetConfig:
-    """Failure at 4 s, rejoin at 6 s, re-balancing threshold 2."""
-    base = dict(
-        n_vehicles=8,
-        seed=b"churn-test",
-        records_per_vehicle=40,
-        max_records=100,
-        send_interval_ms=25.0,
-        arrival_spread_ms=15.0,
-        shards=2,
-        shard_fail_at_ms=4_000.0,
-        fail_shard=0,
-        shard_rejoin_at_ms=6_000.0,
-        migrate_threshold=2,
-    )
-    base.update(overrides)
-    return FleetConfig(**base)
+    """A variant of the table's churn run: failure at 4 s, rejoin at 6 s,
+    re-balancing threshold 2."""
+    return dataclasses.replace(GOLDENS["churn"].config, **overrides)
 
 
-class TestGoldenDigests:
-    """Churn-disabled runs reproduce the PR 2 digests bit-for-bit."""
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded_topology_digests_unchanged(self, shards):
-        stats = run_fleet(_topology_config(shards=shards)).stats
-        assert stats.digest() == _PR2_TOPOLOGY_GOLDENS[shards]
-        assert not stats.is_churn_run
-
-    def test_v2v_digest_unchanged(self):
-        config = FleetConfig(
-            n_vehicles=10,
-            seed=b"topology-v2v",
-            records_per_vehicle=2,
-            max_records=4,
-            send_interval_ms=20.0,
-            arrival_spread_ms=15.0,
-            shards=2,
-            v2v_fraction=0.6,
-            v2v_records=4,
-        )
-        assert run_fleet(config).stats.digest() == _PR2_V2V_GOLDEN
-
-    def test_failover_digest_unchanged(self):
-        config = FleetConfig(
-            n_vehicles=8,
-            seed=b"topology-failover",
-            records_per_vehicle=40,
-            max_records=100,
-            send_interval_ms=25.0,
-            arrival_spread_ms=15.0,
-            shards=2,
-            shard_fail_at_ms=4_000.0,
-            fail_shard=0,
-        )
-        stats = run_fleet(config).stats
-        assert stats.digest() == _PR2_FAILOVER_GOLDEN
-        # Failover without rejoin leaves every shard at epoch 1, so the
-        # per-shard rows hash exactly as they did before churn existed.
-        assert all(s.epoch == 1 for s in stats.per_shard)
+_SEEDS = (b"churn-seed-a", b"churn-seed-b", b"churn-seed-c")
 
 
 class TestSeedMatrix:
     """Churn scenarios are pure functions of the seed."""
 
-    @pytest.mark.parametrize(
-        "seed", [b"churn-seed-a", b"churn-seed-b", b"churn-seed-c"]
-    )
-    def test_same_seed_same_digest(self, seed):
-        config = _churn_config(seed=seed)
-        assert (
-            run_fleet(config).stats.digest()
-            == run_fleet(config).stats.digest()
-        )
-
-    def test_different_seeds_differ(self):
-        digests = {
-            run_fleet(_churn_config(seed=seed)).stats.digest()
-            for seed in (b"churn-seed-a", b"churn-seed-b", b"churn-seed-c")
+    @pytest.fixture(scope="class")
+    def first_digests(self):
+        return {
+            seed: run_fleet(_churn_config(seed=seed)).stats.digest()
+            for seed in _SEEDS
         }
-        assert len(digests) == 3
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_same_seed_same_digest(self, seed, first_digests):
+        second = run_fleet(_churn_config(seed=seed)).stats.digest()
+        assert second == first_digests[seed]
+
+    def test_different_seeds_differ(self, first_digests):
+        assert len(set(first_digests.values())) == 3
 
 
 class TestLiveMigration:
@@ -314,11 +235,9 @@ class TestExplicitMigrateApi:
 
 class TestGatewayRejoin:
     @pytest.fixture(scope="class")
-    def churned(self):
-        config = _churn_config()
-        orchestrator = FleetOrchestrator(config)
-        result = orchestrator.run()
-        return config, orchestrator, result
+    def churned(self, golden_run):
+        orchestrator, result = golden_run("churn")
+        return orchestrator.config, orchestrator, result
 
     def test_rejoined_shard_is_alive_at_next_epoch(self, churned):
         _, orchestrator, result = churned

@@ -14,8 +14,11 @@ certificate finds the key that sub-CA's enrollment rebuilt.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from goldens import GOLDENS
 from repro import trace
 from repro.backend import use_backend
 from repro.ec import SECP256R1
@@ -163,23 +166,11 @@ def test_each_run_owns_its_cache(monkeypatch, shards):
         assert vehicle.manager.context_factory().key_cache is caches[1]
 
 
-#: A run that takes failover, a mid-run gateway rejoin (which enrolls the
-#: reborn gateway), re-enrollments and cross-shard V2V links.
-_CHURN_CONFIG = FleetConfig(
-    n_vehicles=8,
-    seed=b"lifecycle-coverage",
-    records_per_vehicle=12,
-    max_records=6,
-    send_interval_ms=25.0,
-    arrival_spread_ms=15.0,
-    shards=2,
-    shard_fail_at_ms=312.0,
-    fail_shard=0,
-    shard_rejoin_at_ms=3000.0,
-    migrate_threshold=1,
-    v2v_fraction=0.5,
-    v2v_records=12,
-    backend="accelerated",
+#: The table's lifecycle run takes failover, a mid-run gateway
+#: rejoin (which enrolls the reborn gateway), re-enrollments and
+#: cross-shard V2V links.
+_CHURN_CONFIG = dataclasses.replace(
+    GOLDENS["lifecycle"].config, backend="accelerated"
 )
 
 

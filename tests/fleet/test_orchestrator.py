@@ -13,27 +13,21 @@ from collections import Counter
 
 import pytest
 
+from goldens import GOLDENS
 from repro.errors import SimulationError
 from repro.fleet import FleetConfig, FleetOrchestrator, run_fleet
 from repro.hardware import CostModel, DeviceModel
 from repro.protocols import SessionManager
 from repro.protocols.base import Party
 
-#: One small storm shared by the read-only assertions (runs real crypto
-#: once for the whole module).
-_CONFIG = FleetConfig(
-    n_vehicles=4,
-    seed=b"fleet-test",
-    records_per_vehicle=6,
-    max_records=3,  # forces exactly one re-key per vehicle
-    send_interval_ms=20.0,
-    arrival_spread_ms=30.0,
-)
+#: The table's single-gateway storm: six records under a three-record
+#: budget force exactly one re-key per vehicle.
+_CONFIG = GOLDENS["single-gateway"].config
 
 
 @pytest.fixture(scope="module")
-def result():
-    return run_fleet(_CONFIG)
+def result(golden_run):
+    return golden_run("single-gateway").result
 
 
 class TestLifecycle:
@@ -84,32 +78,13 @@ class TestDeterminism:
         assert rerun.stats == result.stats
 
     def test_different_seed_different_digest(self, result):
-        other = run_fleet(
-            FleetConfig(
-                n_vehicles=4,
-                seed=b"fleet-test-other",
-                records_per_vehicle=6,
-                max_records=3,
-                send_interval_ms=20.0,
-                arrival_spread_ms=30.0,
-            )
-        )
+        other = run_fleet(dataclasses.replace(_CONFIG, seed=b"other-seed"))
         assert other.stats.digest() != result.stats.digest()
 
 
 class TestAblationAndPolicy:
     def test_pool_less_path_same_logical_outcome(self, result):
-        plain = run_fleet(
-            FleetConfig(
-                n_vehicles=4,
-                seed=b"fleet-test",
-                records_per_vehicle=6,
-                max_records=3,
-                send_interval_ms=20.0,
-                arrival_spread_ms=30.0,
-                pool_size=0,
-            )
-        )
+        plain = run_fleet(dataclasses.replace(_CONFIG, pool_size=0))
         assert plain.stats.sessions_established == 8
         assert plain.stats.records_sent == result.stats.records_sent
         assert all(v.pool is None for v in plain.vehicles)

@@ -1,13 +1,12 @@
 """Bit-parity of the policy engine's ``default`` bundle.
 
-The engine now sits at every decision point of every run, so the
-strongest possible regression check is the historical golden-digest
-matrix: each frozen digest of PRs 1–9 must be reproduced bit-for-bit
-with the extracted ``default`` bundle — implicitly (``policy=None``)
-and explicitly (``policy="default"``), serially, process-parallel
-(``workers ∈ {2, 4}``) and in streaming mode.  Scenario runs without
-frozen goldens are locked by self-parity: ``policy=None`` and
-``policy="default"`` digests must agree on every named scenario.
+The engine sits at every decision point of every run.  Every golden of
+the table (``goldens.py``) replays with the bundle implicit
+(``policy=None``) and explicit (``policy="default"``) in
+``test_goldens.py``.  Here the explicit bundle must keep a partitionable
+run parallel, and scenario runs without goldens are locked by
+self-parity: ``policy=None`` and ``policy="default"`` digests must agree
+on every named scenario, serially and process-parallel.
 """
 
 from __future__ import annotations
@@ -16,174 +15,28 @@ import dataclasses
 
 import pytest
 
+from goldens import GOLDENS
 from repro.fleet import (
     FleetConfig,
-    FleetOrchestrator,
     NAMED_SCENARIOS,
     get_scenario,
     run_fleet,
 )
 
-# -- the frozen golden matrix (captured before the policy engine existed) -----
 
-_PR1_DIGEST = "5632228c71d42eadd416b2151a1c0be0a8fe6679e14fe78e66c889ac04314e17"
-_PR2_TOPOLOGY_GOLDENS = {
-    1: "a43e300427fe7035b2d2c1a68edaffe0d349313cf046a151c9f430aa153c6d4e",
-    2: "6ed2a66e4325260712dd84192d06bab8cef9303a3b50768d51567ee46bc04a41",
-    4: "3d0ba83a7e1369fa79147400588cf1bb013dc15809d89a6078f789992654df82",
-}
-_PR2_V2V_GOLDEN = (
-    "b6d8c193008cf2c60d08616e1d44d24d3797227489a1a3b31ff143a7aec3d5e4"
-)
-_PR2_FAILOVER_GOLDEN = (
-    "b5087aa40b037cd5709a3e735d9b7e41152aaef27908366bc84733415b38730d"
-)
-
-
-def _pr1_config(**overrides) -> FleetConfig:
-    base = dict(
-        n_vehicles=4,
-        seed=b"fleet-test",
-        records_per_vehicle=6,
-        max_records=3,
-        send_interval_ms=20.0,
-        arrival_spread_ms=30.0,
-    )
-    base.update(overrides)
-    return FleetConfig(**base)
-
-
-def _topology_config(**overrides) -> FleetConfig:
-    base = dict(
-        n_vehicles=6,
-        seed=b"topology-det",
-        records_per_vehicle=2,
-        max_records=4,
-        send_interval_ms=20.0,
-        arrival_spread_ms=15.0,
-    )
-    base.update(overrides)
-    return FleetConfig(**base)
-
-
-def _v2v_config(**overrides) -> FleetConfig:
-    base = dict(
-        n_vehicles=10,
-        seed=b"topology-v2v",
-        records_per_vehicle=2,
-        max_records=4,
-        send_interval_ms=20.0,
-        arrival_spread_ms=15.0,
-        shards=2,
-        v2v_fraction=0.6,
-        v2v_records=4,
-    )
-    base.update(overrides)
-    return FleetConfig(**base)
-
-
-def _failover_config(**overrides) -> FleetConfig:
-    base = dict(
-        n_vehicles=8,
-        seed=b"topology-failover",
-        records_per_vehicle=40,
-        max_records=100,
-        send_interval_ms=25.0,
-        arrival_spread_ms=15.0,
-        shards=2,
-        shard_fail_at_ms=4_000.0,
-        fail_shard=0,
-    )
-    base.update(overrides)
-    return FleetConfig(**base)
-
-
-def _churn_config(**overrides) -> FleetConfig:
-    base = dict(
-        n_vehicles=8,
-        seed=b"churn-test",
-        records_per_vehicle=40,
-        max_records=100,
-        send_interval_ms=25.0,
-        arrival_spread_ms=15.0,
-        shards=2,
-        shard_fail_at_ms=4_000.0,
-        fail_shard=0,
-        shard_rejoin_at_ms=6_000.0,
-        migrate_threshold=2,
-    )
-    base.update(overrides)
-    return FleetConfig(**base)
-
-
-# -- frozen goldens through the engine ----------------------------------------
-
-
-class TestGoldenParity:
-    """Every historical golden, with the bundle implicit and explicit."""
-
-    @pytest.mark.parametrize("policy", [None, "default"])
-    def test_pr1_single_gateway(self, policy):
-        stats = run_fleet(_pr1_config(policy=policy)).stats
-        assert stats.digest() == _PR1_DIGEST
-        assert stats.policy == (policy or "")
-
-    @pytest.mark.parametrize("policy", [None, "default"])
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_pr2_sharded_topology(self, shards, policy):
-        stats = run_fleet(
-            _topology_config(shards=shards, policy=policy)
-        ).stats
-        assert stats.digest() == _PR2_TOPOLOGY_GOLDENS[shards]
-
-    @pytest.mark.parametrize("policy", [None, "default"])
-    def test_pr2_v2v(self, policy):
-        stats = run_fleet(_v2v_config(policy=policy)).stats
-        assert stats.digest() == _PR2_V2V_GOLDEN
-
-    @pytest.mark.parametrize("policy", [None, "default"])
-    def test_pr2_failover(self, policy):
-        stats = run_fleet(_failover_config(policy=policy)).stats
-        assert stats.digest() == _PR2_FAILOVER_GOLDEN
-
-
-class TestGoldenParityAcrossWorkers:
-    """The frozen goldens hold with the engine under every worker count."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_pr2_topology_golden_with_workers(self, workers):
-        config = _topology_config(shards=4, workers=workers, policy="default")
-        assert run_fleet(config).stats.digest() == _PR2_TOPOLOGY_GOLDENS[4]
+class TestPartitioning:
+    """The ``default`` bundle keeps a partitionable run parallel."""
 
     def test_default_policy_stays_partitionable(self):
         # The explicit bundle must not force the serial fallback.
-        orch = FleetOrchestrator(
-            _topology_config(shards=4, workers=2, policy="default")
-        )
+        orch = GOLDENS["topology-4"].orchestrator(workers=2, policy="default")
         assert orch._plan is not None
 
     def test_alternative_bundle_falls_back_to_serial(self):
-        orch = FleetOrchestrator(
-            _topology_config(
-                shards=4, workers=2, policy="failover-spread"
-            )
+        orch = GOLDENS["topology-4"].orchestrator(
+            workers=2, policy="failover-spread"
         )
         assert orch._plan is None
-
-
-class TestGoldenParityStreaming:
-    """Streaming mode keeps the goldens with the engine active."""
-
-    @pytest.mark.parametrize("policy", [None, "default"])
-    def test_pr1_streaming(self, policy):
-        stats = run_fleet(_pr1_config(stream=True, policy=policy)).stats
-        assert stats.digest() == _PR1_DIGEST
-
-    def test_pr2_topology_streaming(self):
-        stats = run_fleet(
-            _topology_config(shards=2, stream=True, policy="default")
-        ).stats
-        assert stats.digest() == _PR2_TOPOLOGY_GOLDENS[2]
 
 
 # -- self-parity where no frozen golden exists --------------------------------
@@ -191,11 +44,6 @@ class TestGoldenParityStreaming:
 
 class TestSelfParity:
     """``policy=None`` and ``policy="default"`` agree bit-for-bit."""
-
-    def test_churn_run(self):
-        implicit = run_fleet(_churn_config()).stats
-        explicit = run_fleet(_churn_config(policy="default")).stats
-        assert implicit.digest() == explicit.digest()
 
     @pytest.mark.parametrize("name", sorted(NAMED_SCENARIOS))
     def test_named_scenarios(self, name):

@@ -1,16 +1,19 @@
-"""Topology tests: degenerate parity, determinism, V2V, failover, policies.
+"""Topology tests: degenerate path, determinism, V2V, failover, policies.
 
-The single most important contract here is **PR-1 parity**: the
-refactored orchestrator with ``shards=1, v2v_fraction=0`` must reproduce
-the single-gateway fleet bit-for-bit.  The golden digest below was
-captured from the pre-topology orchestrator on the exact same
-configuration; if it ever changes, the degenerate path regressed.
+The most important contract of the topology code is **degenerate
+parity**: ``shards=1, v2v_fraction=0`` must reproduce the pre-topology
+single-gateway fleet bit for bit.  ``test_goldens.py`` pins it, with
+the other topology goldens of the table in ``goldens.py``; the tests
+here read the table's runs for what the digests do not show.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from goldens import GOLDENS
 from repro.errors import SimulationError
 from repro.fleet import (
     FleetConfig,
@@ -26,48 +29,23 @@ from repro.fleet import (
 from repro.fleet.policy import static_hash_index
 from repro.protocols import SessionExpired
 
-#: Digest captured from the PR 1 (pre-topology) orchestrator for this
-#: exact configuration.  Bit-for-bit backwards compatibility contract.
-_PR1_CONFIG = FleetConfig(
-    n_vehicles=4,
-    seed=b"fleet-test",
-    records_per_vehicle=6,
-    max_records=3,
-    send_interval_ms=20.0,
-    arrival_spread_ms=30.0,
-)
-_PR1_DIGEST = "5632228c71d42eadd416b2151a1c0be0a8fe6679e14fe78e66c889ac04314e17"
-
 
 def _topology_config(**overrides) -> FleetConfig:
-    base = dict(
-        n_vehicles=6,
-        seed=b"topology-det",
-        records_per_vehicle=2,
-        max_records=4,
-        send_interval_ms=20.0,
-        arrival_spread_ms=15.0,
-    )
-    base.update(overrides)
-    return FleetConfig(**base)
+    """A variant of the table's single-shard topology run."""
+    return dataclasses.replace(GOLDENS["topology-1"].config, **overrides)
 
 
 class TestDegenerateParity:
-    def test_single_gateway_digest_is_bit_identical_to_pr1(self):
-        result = run_fleet(_PR1_CONFIG)
-        assert result.stats.digest() == _PR1_DIGEST
-        assert not result.stats.is_topology_run
-
-    def test_degenerate_run_has_one_shard_breakdown(self):
-        result = run_fleet(_PR1_CONFIG)
+    def test_degenerate_run_has_one_shard_breakdown(self, golden_run):
+        result = golden_run("single-gateway").result
         assert len(result.stats.per_shard) == 1
         shard = result.stats.per_shard[0]
         assert shard.name == "central-ca"
         assert shard.vehicles_assigned == 4
         assert not shard.failed
 
-    def test_degenerate_topology_has_no_root_or_trust_store(self):
-        orchestrator = FleetOrchestrator(_PR1_CONFIG)
+    def test_degenerate_topology_has_no_root_or_trust_store(self, golden_run):
+        orchestrator = golden_run("single-gateway").orchestrator
         assert orchestrator.topology.root_ca is None
         assert orchestrator.topology.trust_store is None
         assert orchestrator.shards[0].resource.name == "central-ca"
@@ -76,25 +54,24 @@ class TestDegenerateParity:
 
 class TestShardedDeterminism:
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_same_config_same_per_shard_digests(self, shards):
-        config = _topology_config(shards=shards)
-        first = run_fleet(config)
-        second = run_fleet(config)
+    def test_same_config_same_per_shard_digests(self, shards, golden_run):
+        first = golden_run(f"topology-{shards}").result
+        second = run_fleet(GOLDENS[f"topology-{shards}"].config)
         assert first.stats.digest() == second.stats.digest()
         assert len(first.stats.per_shard) == shards
         for a, b in zip(first.stats.per_shard, second.stats.per_shard):
             assert a.digest() == b.digest()
             assert a == b
 
-    def test_different_shard_counts_differ(self):
+    def test_different_shard_counts_differ(self, golden_run):
         digests = {
-            shards: run_fleet(_topology_config(shards=shards)).stats.digest()
+            golden_run(f"topology-{shards}").result.stats.digest()
             for shards in (1, 2, 4)
         }
-        assert len(set(digests.values())) == 3
+        assert len(digests) == 3
 
-    def test_shard_merge_consistent_with_fleet_totals(self):
-        stats = run_fleet(_topology_config(shards=4)).stats
+    def test_shard_merge_consistent_with_fleet_totals(self, golden_run):
+        stats = golden_run("topology-4").result.stats
         assert sum(s.sessions_established for s in stats.per_shard) == (
             stats.sessions_established
         )
@@ -129,9 +106,9 @@ class TestShardPolicies:
         assigned = [s.vehicles_assigned for s in result.stats.per_shard]
         assert max(assigned) - min(assigned) <= 2
 
-    def test_static_hash_is_stable_per_identity(self):
-        config = _topology_config(shards=4, shard_policy=POLICY_STATIC_HASH)
-        result = run_fleet(config)
+    def test_static_hash_is_stable_per_identity(self, golden_run):
+        orchestrator, result = golden_run("topology-4")
+        assert orchestrator.config.shard_policy == POLICY_STATIC_HASH
         for vehicle in result.vehicles:
             assert vehicle.shard == static_hash_index(vehicle.device_id, 4)
 
@@ -178,15 +155,9 @@ class TestProtocolMatrix:
 
 class TestV2V:
     @pytest.fixture(scope="class")
-    def mesh(self):
-        config = _topology_config(
-            n_vehicles=10,
-            seed=b"topology-v2v",
-            shards=2,
-            v2v_fraction=0.6,
-            v2v_records=4,
-        )
-        return config, run_fleet(config)
+    def mesh(self, golden_run):
+        orchestrator, result = golden_run("v2v-mesh")
+        return orchestrator.config, result
 
     def test_pair_plan_is_deterministic_and_disjoint(self, mesh):
         config, _ = mesh
@@ -226,7 +197,7 @@ class TestV2V:
     def test_v2v_rekeys_under_record_budget(self):
         config = _topology_config(
             n_vehicles=4,
-            seed=b"topology-v2v-rekey",
+            seed=b"v2v-rekey",
             shards=1,
             v2v_fraction=1.0,
             v2v_records=6,
@@ -236,30 +207,12 @@ class TestV2V:
         assert result.stats.v2v_rekeys > 0
         assert result.stats.is_topology_run
 
-    def test_determinism_with_v2v(self, mesh):
-        config, result = mesh
-        assert run_fleet(config).stats.digest() == result.stats.digest()
-
 
 class TestFailover:
     @pytest.fixture(scope="class")
-    def failover(self):
-        # The failure hits *after* every vehicle established its first
-        # session (~3.7 s in), while records are still being delivered —
-        # the handover is a live re-key, not a fresh enrollment.
-        config = FleetConfig(
-            n_vehicles=8,
-            seed=b"topology-failover",
-            records_per_vehicle=40,
-            max_records=100,
-            send_interval_ms=25.0,
-            arrival_spread_ms=15.0,
-            shards=2,
-            shard_fail_at_ms=4_000.0,
-            fail_shard=0,
-        )
-        orchestrator = FleetOrchestrator(config)
-        return config, orchestrator, orchestrator.run()
+    def failover(self, golden_run):
+        orchestrator, result = golden_run("failover")
+        return orchestrator.config, orchestrator, result
 
     def test_everyone_finishes_despite_the_dead_shard(self, failover):
         config, _, result = failover
@@ -295,10 +248,6 @@ class TestFailover:
         intervals = orchestrator.shards[0].resource.intervals
         assert all(start < config.shard_fail_at_ms for start, _ in intervals)
         assert failed_stats.vehicles_assigned > 0
-
-    def test_failover_is_deterministic(self, failover):
-        config, _, result = failover
-        assert run_fleet(config).stats.digest() == result.stats.digest()
 
 
 class TestConfigValidation:
