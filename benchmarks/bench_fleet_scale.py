@@ -39,7 +39,9 @@ latencies, energy, digest, backend cell) so the performance trajectory
 can be tracked across PRs; ``--json`` overrides the output path.
 
 Under pytest the module contributes fast, small-fleet versions of the
-same assertions so regressions surface in the tier-1 run.
+same assertions.  pytest collects only ``test_*.py`` files by itself, so
+they run when the module is named, as CI's benchmark-module step does:
+``PYTHONPATH=src python -m pytest benchmarks/bench_*.py --benchmark-disable``.
 """
 
 from __future__ import annotations

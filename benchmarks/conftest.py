@@ -1,10 +1,13 @@
 """Shared fixtures for the benchmark harness.
 
 Every ``bench_*`` module regenerates one table or figure of the paper.
-``pytest benchmarks/ --benchmark-only`` runs them all; each benchmark
-both *times* the reproduction (pytest-benchmark statistics) and *prints*
-the regenerated artifact so the numbers can be compared against the paper
-side by side (run with ``-s`` to see the reports).
+pytest collects only ``test_*.py`` files by itself, so name the modules:
+``PYTHONPATH=src python -m pytest benchmarks/bench_*.py --benchmark-only``
+runs the benchmarks; each both *times* the reproduction
+(pytest-benchmark statistics) and *prints* the regenerated artifact so
+the numbers can be compared against the paper side by side (run with
+``-s`` to see the reports).  ``--benchmark-disable`` instead runs every
+test of the modules once, untimed, as CI does.
 """
 
 from __future__ import annotations

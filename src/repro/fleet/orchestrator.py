@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 from .. import trace
 from ..backend import available_backends, use_backend
-from ..ec import Curve, SECP256R1, mul_base
+from ..ec import mul_base
 from ..ecdsa import sign, verify_batch
 from ..ecqv import CertificateRequest, CertificateRequester
 from ..errors import (
@@ -75,7 +75,6 @@ from ..errors import (
     ScenarioError,
     SimulationError,
 )
-from ..hardware import DeviceModel, get_device
 from ..primitives import HmacDrbg
 from ..protocols import (
     SessionContext,
@@ -116,9 +115,15 @@ from .scenario import (
 )
 from .stats import ExactSum, FleetStats, ShardStats, StreamingLatency
 from .topology import (
+    BUS_MS_PER_BYTE,
+    CA_BATCH_LIMIT,
+    CURVE,
     FleetTopology,
     GATEWAY_NAME,
     GatewayShard,
+    RECORD_BYTES,
+    SHARD_DEVICE,
+    VEHICLE_DEVICE,
     plan_v2v_pairs,
 )
 from .vehicle import LIFECYCLE_STEPS, Vehicle
@@ -136,11 +141,13 @@ __all__ = [
 class FleetConfig(CheckedSpec):
     """Parameters of one fleet orchestration run.
 
+    The curve, device models, bus cost, record size and CA batch limit
+    are fixed: the platform block of :mod:`repro.fleet.topology`.
+
     Attributes:
         n_vehicles: fleet size (one initiator per vehicle).
         seed: master seed; every DRBG stream and the arrival jitter
             derive from it, making runs bit-reproducible.
-        curve: domain parameters for all credentials and sessions.
         protocol: registry name of the KD protocol vehicles run against
             the gateway (dynamic protocols re-key with fresh ephemerals).
         max_age_ms: session-key wall-clock budget (policy, sim ms).
@@ -150,16 +157,7 @@ class FleetConfig(CheckedSpec):
         send_interval_ms: spacing between a vehicle's records.
         arrival_spread_ms: enrollment arrivals are jittered uniformly
             over ``[0, arrival_spread_ms)``.
-        vehicle_device: device-model name vehicles compute on.
-        ca_device: device-model name each CA/gateway shard computes on.
-        bus_ms_per_byte: transfer cost per wire byte, charged on both
-            handshake transcripts and application records (stands in
-            for the CAN-FD stack at fleet granularity).
-        record_bytes: application payload size per record.
         pool_size: ephemeral pool entries per vehicle (0 disables).
-        ca_batch_limit: max requests a CA folds into one issuance batch.
-        cert_validity_seconds: certificate-session length for issued
-            credentials.
         shards: number of gateway shards.  ``1`` reproduces the
             single-gateway fleet bit-for-bit; ``>1`` chains every shard
             CA to a fleet root and shares a trust store fleet-wide.
@@ -213,15 +211,15 @@ class FleetConfig(CheckedSpec):
             via the proven merge laws.  Configurations whose shards are
             dynamically coupled run as one in-process partition (same
             digest trivially).  Workers are capped at the shard count.
-        stream: constant-memory streaming mode.  Releases per-vehicle
-            timeline events and ephemeral pools (and, for vehicles
-            without a V2V pairing, the session manager) as each vehicle
-            finishes, and stops :class:`~repro.sim.engine.Resource`
-            interval recording — the O(events) allocations that bound
-            fleet size.  Digest-neutral by construction: only state the
-            finished vehicle can never touch again is dropped.  Off by
-            default because :attr:`FleetResult.vehicles` timelines and
-            resource interval traces are part of the debugging API.
+        stream: constant-memory streaming mode.  Releases a vehicle's
+            timeline events, ephemeral pool and session manager once its
+            gateway traffic and V2V pairing (if any) both ended, and
+            stops :class:`~repro.sim.engine.Resource` interval recording
+            — the O(events) allocations that bound fleet size.
+            Digest-neutral: nothing touches the dropped state again.
+            Off by default: :attr:`FleetResult.vehicles` timelines and
+            resource intervals are debugging API.  Workers, whose
+            vehicles never reach the caller, always stream.
         policy: named policy bundle from
             :data:`repro.fleet.policy.POLICY_BUNDLES` supplying the
             rules the :class:`~repro.fleet.policy.PolicyEngine`
@@ -259,20 +257,13 @@ class FleetConfig(CheckedSpec):
 
     n_vehicles: int = bound(16, ge=1)
     seed: bytes = b"fleet-storm"
-    curve: Curve = SECP256R1
     protocol: str = "sts"
     max_age_ms: float = bound(600_000.0, gt=0)
     max_records: int = bound(25, ge=1)
     records_per_vehicle: int = bound(50, ge=1)
     send_interval_ms: float = bound(25.0, gt=0)
     arrival_spread_ms: float = bound(1_000.0, ge=0)
-    vehicle_device: str = "stm32f767"
-    ca_device: str = "rpi4"
-    bus_ms_per_byte: float = bound(0.002, ge=0)
-    record_bytes: int = bound(32, ge=1)
     pool_size: int = bound(4, ge=0)
-    ca_batch_limit: int = bound(64, ge=1)
-    cert_validity_seconds: int = bound(24 * 3600, ge=1)
     shards: int = bound(1, ge=1)
     shard_policy: str = "static-hash"
     v2v_fraction: float = bound(0.0, ge=0, le=1)
@@ -321,10 +312,32 @@ class FleetConfig(CheckedSpec):
             resolve_policies(self)
         except PolicyError as exc:
             raise ConfigError(str(exc)) from exc
-        # Fail fast on unknown names.
+        # Fail fast on an unknown protocol name.
         get_protocol(self.protocol)
-        get_device(self.vehicle_device)
-        get_device(self.ca_device)
+
+
+#: Events a partition may process per record (each costs a handful).
+EVENTS_PER_RECORD = 100
+
+
+def _records_due(config: FleetConfig, schedule, index: int) -> int:
+    """Records vehicle ``index`` must deliver (profile-aware)."""
+    profile = None if schedule is None else schedule.profile_for(index)
+    if profile is None:
+        return config.records_per_vehicle
+    return profile.records_per_vehicle
+
+
+def event_cap(config: FleetConfig, schedule, vehicles) -> int:
+    """The runaway guard of a partition that owns ``vehicles`` (indices).
+
+    :data:`EVENTS_PER_RECORD` per record those vehicles and the V2V pairs
+    they initiate must deliver; pure, so it is known before a fleet is built.
+    """
+    owned = set(vehicles)
+    records = sum(_records_due(config, schedule, i) for i in owned)
+    pairs = sum(a in owned for a, _ in plan_v2v_pairs(config))
+    return EVENTS_PER_RECORD * (records + pairs * config.v2v_records)
 
 
 @dataclass
@@ -406,11 +419,8 @@ class FleetOrchestrator:
     ) -> None:
         """Provision topology, shards and vehicles (backend-scoped)."""
         self.sim = Simulator()
-        self.vehicle_device: DeviceModel = get_device(config.vehicle_device)
-        self.ca_device: DeviceModel = get_device(config.ca_device)
         self.topology = FleetTopology(config)
         self.shards: list[GatewayShard] = self.topology.shards
-        seed = config.seed
         policy = SessionPolicy(
             max_age_seconds=config.max_age_ms / 1000.0,
             max_records=config.max_records,
@@ -588,8 +598,8 @@ class FleetOrchestrator:
 
         Returns the time in ms; a vehicle's own device never contends.
         """
-        ms = self.vehicle_device.time_ms(cost)
-        self._vehicle_energy.add(self.vehicle_device.energy_of_ms(ms))
+        ms = VEHICLE_DEVICE.time_ms(cost)
+        self._vehicle_energy.add(VEHICLE_DEVICE.energy_of_ms(ms))
         return ms
 
     def _book_shard(self, shard: GatewayShard, cost, earliest: float):
@@ -598,8 +608,8 @@ class FleetOrchestrator:
         The work occupies the shard resource from ``earliest`` on;
         returns the granted ``(start, end)``.
         """
-        ms = shard.device.time_ms(cost)
-        shard.energy_mj += shard.device.energy_of_ms(ms)
+        ms = SHARD_DEVICE.time_ms(cost)
+        shard.energy_mj += SHARD_DEVICE.energy_of_ms(ms)
         return shard.resource.reserve(earliest, ms)
 
     # -- enrollment ------------------------------------------------------------
@@ -627,7 +637,7 @@ class FleetOrchestrator:
         whose CA queue takes it; ``then`` rides the :class:`_QueueEntry`.
         """
         requester = CertificateRequester(
-            self.config.curve,
+            CURVE,
             vehicle.device_id,
             HmacDrbg(self.config.seed, personalization=personalization),
             key_cache=self.topology.key_cache,
@@ -661,7 +671,7 @@ class FleetOrchestrator:
         """
         if shard.failed or shard.issuing or not shard.queue:
             return
-        batch_size = min(len(shard.queue), self.config.ca_batch_limit)
+        batch_size = min(len(shard.queue), CA_BATCH_LIMIT)
         batch = [shard.queue.popleft() for _ in range(batch_size)]
         legit = [entry for entry in batch if entry.adversarial is None]
         attacks = [entry for entry in batch if entry.adversarial is not None]
@@ -687,14 +697,7 @@ class FleetOrchestrator:
                     else:
                         log["rejected"] += 1
             requests = [entry.request for entry in legit]
-            issued = (
-                shard.ca.issue_batch(
-                    requests,
-                    validity_seconds=self.config.cert_validity_seconds,
-                )
-                if requests
-                else []
-            )
+            issued = shard.ca.issue_batch(requests) if requests else []
         # Bind the issuing key now: a rejoin may roll shard.ca to a new
         # epoch before this batch's delivery event fires.
         issuer_public = shard.ca.public_key
@@ -739,7 +742,7 @@ class FleetOrchestrator:
                 # Re-enrollments keep the existing pool: its DRBG stream
                 # must never be replayed from the start.
                 vehicle.pool = EphemeralPool(
-                    self.config.curve,
+                    CURVE,
                     HmacDrbg(
                         self.config.seed,
                         personalization=b"fleet|%s|pool"
@@ -1142,7 +1145,7 @@ class FleetOrchestrator:
             install_pairwise_key(ctx_a, ctx_b, rng.generate(32))
         party_a, party_b = info.factory(ctx_a, ctx_b)
         transcript = run_protocol(party_a, party_b)
-        bus_ms = transcript.total_bytes * self.config.bus_ms_per_byte
+        bus_ms = transcript.total_bytes * BUS_MS_PER_BYTE
         return party_a, party_b, bus_ms
 
     def _establish(self, vehicle: Vehicle, then=None) -> None:
@@ -1203,13 +1206,6 @@ class FleetOrchestrator:
             return None
         return self.schedule.profiles[vehicle.profile]
 
-    def _records_target(self, vehicle: Vehicle) -> int:
-        """Records this vehicle must deliver (profile-aware)."""
-        profile = self._profile_of(vehicle)
-        if profile is None:
-            return self.config.records_per_vehicle
-        return profile.records_per_vehicle
-
     def _send_interval(self, vehicle: Vehicle) -> float:
         """Spacing between this vehicle's records (profile-aware)."""
         profile = self._profile_of(vehicle)
@@ -1218,32 +1214,33 @@ class FleetOrchestrator:
         return profile.send_interval_ms
 
     def _release_vehicle(self, vehicle: Vehicle) -> None:
-        """Streaming mode: drop state a finished vehicle can never touch.
+        """Streaming mode: drop a vehicle's state once its last link ends.
 
-        The timeline events and the ephemeral pool are dead the moment
-        the vehicle reports done; the session manager additionally dies
-        unless a V2V pairing can still re-key through it.  The gateway
-        side of the session stays installed (replay-storm injections
-        verify against it), so this is digest-neutral by construction.
+        Called as each link ends.  Once the gateway traffic and the V2V
+        pairing (if any) are both done, nothing touches the timeline,
+        pool or manager again.  The gateway side of the session stays
+        installed (replay-storm injections verify against it).
         """
+        if not self.config.stream or vehicle.done_at is None:
+            return
+        if vehicle.v2v_peer_index is not None and vehicle.v2v_done_at is None:
+            return
         vehicle.events.clear()
         vehicle.pool = None
-        if vehicle.v2v_peer_index is None:
-            vehicle.manager = None
+        vehicle.manager = None
 
     def _deliver(self, text: bytes, sender, receiver):
         """Carry one application record over an established session.
 
         ``sender`` and ``receiver`` are ``(manager, device id, name)``.
         The payload is ``text`` padded with dots or cut to
-        ``record_bytes``, sealed and opened under one trace scope each.
+        ``RECORD_BYTES``, sealed and opened under one trace scope each.
         Returns the wire record and both (unpriced) traces; a receiver
         that opens anything but the payload raises ``SimulationError``.
         """
         send_manager, send_id, send_name = sender
         recv_manager, recv_id, recv_name = receiver
-        size = self.config.record_bytes
-        payload = text.ljust(size, b".")[:size]
+        payload = text.ljust(RECORD_BYTES, b".")[:RECORD_BYTES]
         with trace.trace(f"{send_name}:send") as send_cost:
             record = send_manager.send(recv_id, payload)
         with trace.trace(f"{recv_name}:receive") as recv_cost:
@@ -1259,12 +1256,12 @@ class FleetOrchestrator:
             # A send scheduled before an explicit migrate() call: the
             # post-migration establishment starts the next send.
             return
-        if vehicle.records_sent >= self._records_target(vehicle):
+        due = _records_due(self.config, self.schedule, vehicle.index)
+        if vehicle.records_sent >= due:
             vehicle.done_at = self.sim.now
             self.shards[vehicle.shard].active_vehicles -= 1
             self._note("done", vehicle, f"{vehicle.records_sent} records")
-            if self.config.stream:
-                self._release_vehicle(vehicle)
+            self._release_vehicle(vehicle)
             return
         shard = self.shards[vehicle.shard]
         if shard.failed:
@@ -1330,8 +1327,8 @@ class FleetOrchestrator:
             self._captured_records[vehicle.index] = record
         vehicle.records_sent += 1
         self._counters["records_sent"] += 1
-        self._note("record", vehicle, record_bytes=len(record))
-        bus_ms = len(record) * self.config.bus_ms_per_byte
+        self._note("record", vehicle, wire_bytes=len(record))
+        bus_ms = len(record) * BUS_MS_PER_BYTE
         self.sim.schedule_after(
             self._send_interval(vehicle) + send_ms + bus_ms,
             lambda: self._send(vehicle),
@@ -1428,6 +1425,8 @@ class FleetOrchestrator:
                 f"{initiator.v2v_records_sent} records to {responder.name}",
             )
             self._note("v2v-peer-done", responder, f"from {initiator.name}")
+            self._release_vehicle(initiator)
+            self._release_vehicle(responder)
             return
         if initiator.manager.needs_rekey(
             responder.device_id
@@ -1453,7 +1452,7 @@ class FleetOrchestrator:
         initiator.v2v_records_sent += 1
         self._counters["v2v_records_sent"] += 1
         self._note("v2v-record", initiator)
-        bus_ms = len(record) * self.config.bus_ms_per_byte
+        bus_ms = len(record) * BUS_MS_PER_BYTE
         self.sim.schedule_after(
             self.config.send_interval_ms + send_ms + bus_ms + recv_ms,
             lambda: self._send_v2v(initiator, responder),
@@ -1563,14 +1562,13 @@ class FleetOrchestrator:
             self.config.seed,
             personalization=b"scenario|ca-flood|%d" % index,
         )
-        curve = self.config.curve
         for j in range(spec.requests):
-            scalar = rng.random_scalar(curve.n)
-            point = mul_base(scalar, curve)
+            scalar = rng.random_scalar(CURVE.n)
+            point = mul_base(scalar, CURVE)
             subject = device_id(f"attacker{index:02d}-{j:04d}")
             unsigned = CertificateRequest(subject, point)
             forged = sign(
-                curve, rng.random_scalar(curve.n), unsigned.signed_payload()
+                CURVE, rng.random_scalar(CURVE.n), unsigned.signed_payload()
             )
             log["attempts"] += 1
             shard.queue.append(
@@ -1601,7 +1599,7 @@ class FleetOrchestrator:
 
     # -- driving -----------------------------------------------------------------
 
-    def run(self, max_events: int = 5_000_000) -> FleetResult:
+    def run(self) -> FleetResult:
         """Run the full storm to quiescence and aggregate the stats.
 
         Executes under the :class:`FleetConfig`'s ``backend`` (scoped
@@ -1628,12 +1626,10 @@ class FleetOrchestrator:
                 self.schedule,
                 self._plan,
                 obs=self.obs,
-                max_events=max_events,
             )
         with use_backend(self.config.backend):
-            snapshot = self._run_partition(
-                frozenset(range(self.config.shards)), max_events
-            )
+            owned = frozenset(range(self.config.shards))
+            snapshot = self._run_partition(owned)
             stats = _merge(
                 self.config, self.scenario, self.schedule, [snapshot]
             )
@@ -1652,9 +1648,7 @@ class FleetOrchestrator:
             return vehicle.pinned_shard
         return static_hash_index(vehicle.device_id, self.config.shards)
 
-    def _run_partition(
-        self, owned: frozenset, max_events: int
-    ) -> WorkerSnapshot:
+    def _run_partition(self, owned: frozenset) -> WorkerSnapshot:
         """Drive only the event streams of the ``owned`` shards.
 
         Schedules arrivals for vehicles statically assigned to an owned
@@ -1665,7 +1659,8 @@ class FleetOrchestrator:
         independent under the partition-plan preconditions, and co-timed
         events keep their scheduling order because omitted foreign
         events never interleave *within* a shard's stream).  Runs under
-        the caller's backend scope and returns the merge-ready snapshot.
+        the caller's backend scope, for at most :func:`event_cap` events,
+        and returns the merge-ready snapshot.
         """
         self._note("run-started")
         everything = len(owned) == self.config.shards
@@ -1699,7 +1694,8 @@ class FleetOrchestrator:
                         lambda i, s: lambda: self._run_injection(i, s)
                     )(index, spec),
                 )
-        self.sim.run(max_events=max_events)
+        cap = event_cap(self.config, self.schedule, (v.index for v in mine))
+        self.sim.run(max_events=cap)
         unfinished = [v.name for v in mine if v.done_at is None]
         if unfinished:
             raise SimulationError(

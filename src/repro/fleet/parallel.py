@@ -239,14 +239,14 @@ def _worker_run(payload) -> WorkerSnapshot:
     owned shards' events.  Returns a checksummed snapshot of everything
     the barrier merge needs.
     """
-    worker_index, owned, config, scenario, want_obs, max_events = payload
+    worker_index, owned, config, scenario, want_obs = payload
     from ..obs import Observer, _peak_rss_kb
     from .orchestrator import FleetOrchestrator
 
     obs = Observer() if want_obs else None
     orch = FleetOrchestrator(config, scenario=scenario, obs=obs)
     with use_backend(config.backend):
-        snap = orch._run_partition(frozenset(owned), max_events)
+        snap = orch._run_partition(frozenset(owned))
     snap.worker = worker_index
     if obs is not None:
         from ..obs.tree import DigestTree
@@ -334,7 +334,6 @@ def run_parallel(
     schedule,
     plan: PartitionPlan,
     obs=None,
-    max_events: int = 5_000_000,
 ):
     """Execute ``plan`` across worker processes and merge at the barrier.
 
@@ -348,16 +347,17 @@ def run_parallel(
 
     # Resolve the ambient backend to a concrete name so spawn-started
     # workers (fresh processes, default ambient) execute the same one.
+    # Workers always stream: no caller reads their timelines or intervals.
     worker_config = dataclasses.replace(
         config,
         workers=1,
+        stream=True,
         backend=config.backend or get_backend().name,
     )
     snapshots = _run_workers(
         plan,
         [
-            (w, plan.owned[w], worker_config, scenario, obs is not None,
-             max_events)
+            (w, plan.owned[w], worker_config, scenario, obs is not None)
             for w in range(plan.workers)
         ],
     )

@@ -35,7 +35,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..ec import precompute_point
+from ..ec import SECP256R1, precompute_point
 from ..ecqv import (
     Certificate,
     CertificateAuthority,
@@ -46,7 +46,7 @@ from ..ecqv import (
     make_sub_ca,
 )
 from ..errors import SimulationError
-from ..hardware import DeviceModel, get_device
+from ..hardware import RASPBERRY_PI4, STM32F767
 from ..primitives import HmacDrbg, sha256
 from ..protocols import SessionManager
 from ..protocols.pool import EphemeralPool
@@ -54,6 +54,18 @@ from ..sim.engine import Resource
 from ..testbed import DEFAULT_NOW, device_id
 from .stats import StreamingLatency
 from .vehicle import Vehicle
+
+# The one platform, read by the orchestrator too: the paper's boards
+# (Fig. 1) price P-256, the bus cost per wire byte stands in for CAN-FD,
+# and certificates carry the CA's own DEFAULT_VALIDITY_SECONDS (24 h),
+# issued off the simulated timeline at DEFAULT_NOW.
+CURVE = SECP256R1
+VEHICLE_DEVICE = STM32F767
+SHARD_DEVICE = RASPBERRY_PI4
+BUS_MS_PER_BYTE = 0.002
+RECORD_BYTES = 32  # application payload bytes per record
+CA_BATCH_LIMIT = 64  # most requests one issuance batch folds
+_PROVISIONING_CLOCK = lambda: DEFAULT_NOW  # noqa: E731
 
 #: Identity of the central CA/gateway device (paper Fig. 1's RPi 4) in the
 #: degenerate single-shard deployment.
@@ -92,7 +104,6 @@ class GatewayShard:
     ca_certificate: Certificate | None
     gateway_credential: EcqvCredential
     resource: Resource
-    device: DeviceModel
     pool: EphemeralPool | None
     manager: SessionManager | None = None
     failed: bool = False
@@ -154,10 +165,7 @@ class FleetTopology:
 
     def __init__(self, config) -> None:
         self.config = config
-        seed = config.seed
         total = config.shards
-        curve = config.curve
-        clock = lambda: DEFAULT_NOW  # noqa: E731
         #: One key cache per fleet run: the trust store, every session
         #: context and every certificate requester of the run decode and
         #: rebuild keys through it.
@@ -167,10 +175,10 @@ class FleetTopology:
             self.trust_store: TrustStore | None = None
         else:
             self.root_ca = CertificateAuthority(
-                curve,
+                CURVE,
                 device_id(ROOT_CA_NAME),
-                HmacDrbg(seed, personalization=b"fleet|root|ca"),
-                clock=clock,
+                HmacDrbg(config.seed, personalization=b"fleet|root|ca"),
+                clock=_PROVISIONING_CLOCK,
                 require_signed_requests=config.authenticate_requests,
             )
             self.trust_store = TrustStore(
@@ -209,7 +217,7 @@ class FleetTopology:
         """
         config = self.config
         gw_requester = CertificateRequester(
-            config.curve,
+            CURVE,
             device_id(gateway_name),
             HmacDrbg(config.seed, personalization=enroll_pers),
             key_cache=self.key_cache,
@@ -217,8 +225,7 @@ class FleetTopology:
         gw_issued = ca.issue(
             gw_requester.create_request(
                 authenticate=config.authenticate_requests
-            ),
-            validity_seconds=config.cert_validity_seconds,
+            )
         )
         gateway_credential = gw_requester.process_response(
             gw_issued, ca.public_key
@@ -226,7 +233,7 @@ class FleetTopology:
         pool: EphemeralPool | None = None
         if config.pool_size > 0:
             pool = EphemeralPool(
-                config.curve,
+                CURVE,
                 HmacDrbg(config.seed, personalization=pool_pers),
                 pool_entries,
             )
@@ -250,7 +257,6 @@ class FleetTopology:
         so the reborn shard's key material is fresh but deterministic).
         """
         config = self.config
-        clock = lambda: DEFAULT_NOW  # noqa: E731
         suffix = b"" if epoch == 1 else b"|epoch%d" % epoch
         ca, ca_certificate = make_sub_ca(
             self.root_ca,
@@ -259,8 +265,7 @@ class FleetTopology:
                 config.seed,
                 personalization=b"fleet|shard%d|ca" % index + suffix,
             ),
-            clock=clock,
-            validity_seconds=config.cert_validity_seconds,
+            clock=_PROVISIONING_CLOCK,
             authenticate_request=config.authenticate_requests,
             key_cache=self.key_cache,
         )
@@ -285,12 +290,11 @@ class FleetTopology:
         if total == 1:
             # Degenerate deployment: byte-identical to the PR 1 fleet
             # (single anchor CA, 2*n pool, legacy personalizations).
-            clock = lambda: DEFAULT_NOW  # noqa: E731
             ca = CertificateAuthority(
-                config.curve,
+                CURVE,
                 device_id(ca_name),
                 HmacDrbg(config.seed, personalization=b"fleet|ca"),
-                clock=clock,
+                clock=_PROVISIONING_CLOCK,
                 require_signed_requests=config.authenticate_requests,
             )
             ca_certificate = None
@@ -318,7 +322,6 @@ class FleetTopology:
                 ca_name,
                 record_intervals=not getattr(config, "stream", False),
             ),
-            device=get_device(config.ca_device),
             pool=pool,
         )
 

@@ -227,12 +227,12 @@ class FleetInstrumentation:
         )
         self.metrics.counter("fleet.rekeys", shard=shard).inc()
 
-    def _on_record(self, orch, vehicle, record_bytes) -> None:
+    def _on_record(self, orch, vehicle, wire_bytes) -> None:
         """Count one application record (and maybe heartbeat)."""
         shard = vehicle.shard
         self.metrics.counter("fleet.records_sent", shard=shard).inc()
         self.metrics.counter("fleet.record_bytes", shard=shard).inc(
-            record_bytes
+            wire_bytes
         )
         self._records += 1
         self._maybe_heartbeat(orch)

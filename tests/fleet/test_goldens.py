@@ -12,15 +12,18 @@ a digest:
   ``policy=None`` selects it;
 - observer hooks read orchestrator state but never consume DRBG output,
   schedule simulator events or mutate fleet state;
-- streaming drops only state a finished vehicle can never touch again;
+- streaming drops only state a vehicle whose last link ended can never
+  touch again;
 - a worker partition merges into the single-worker digest, and a
   coupled configuration runs in-process.
 
 Every run must reproduce the entry's pinned digest (a self-parity entry:
 its plain run's digest) and pass the entry's own checks in
-:data:`CHECKS`.  :data:`EXTRA_CELLS` adds three single-entry cells, and
-:data:`KNOWN_DEFECTS` names the cells a known defect makes fail.  The
-four perfbench pins are replayed here too.
+:data:`CHECKS`; a streaming run must also end with every vehicle
+released.  :data:`EXTRA_CELLS` adds three single-entry cells.  The four
+perfbench pins are replayed here too, and each entry's plain run and each
+perfbench workload must stay far below the runaway guard its fleet
+derives.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import pytest
 
 from goldens import GOLDENS
 from repro.backend import get_backend, use_backend
-from repro.fleet import FleetConfig, run_fleet
+from repro.fleet import FleetConfig, FleetOrchestrator, run_fleet
+from repro.fleet.orchestrator import event_cap
 from repro.fleet.vehicle import LIFECYCLE_STEPS
 from repro.obs import Observer
 
@@ -79,22 +83,6 @@ CELLS = {
     **{(name, mode): MODES[mode] for name in GOLDENS for mode in MODES},
     **EXTRA_CELLS,
 }
-
-#: Cells that fail on a known defect; each must keep failing until fixed.
-KNOWN_DEFECTS = {
-    ("lifecycle", "stream"): (
-        "FleetOrchestrator._release_vehicle drops the ephemeral pool of a"
-        " finished vehicle whose V2V pairing still re-keys, so streaming"
-        " moves the V2V latencies and the vehicle energy"
-    ),
-}
-
-
-def _cell(name, mode):
-    reason = KNOWN_DEFECTS.get((name, mode))
-    marks = pytest.mark.xfail(strict=True, reason=reason) if reason else ()
-    return pytest.param(name, mode, id=f"{name}-{mode}", marks=marks)
-
 
 _TIMELINE_KINDS = {
     kind for kind in LIFECYCLE_STEPS.values() if kind is not None
@@ -186,7 +174,7 @@ CHECKS = {
 }
 
 
-@pytest.mark.parametrize("name, mode", [_cell(*cell) for cell in CELLS])
+@pytest.mark.parametrize("name, mode", list(CELLS))
 def test_golden(name, mode, golden_run):
     golden = GOLDENS[name]
     cell = CELLS[name, mode]
@@ -204,13 +192,28 @@ def test_golden(name, mode, golden_run):
     assert stats.digest() == expected
     assert stats.policy == (orchestrator.config.policy or "")
     CHECKS[name](result, obs, orchestrator.config)
-    if golden.timelines is not None and not orchestrator.config.stream:
+    if orchestrator.config.stream:
+        # Each vehicle's last link ended, so its state is gone.
+        for vehicle in result.vehicles:
+            assert vehicle.events == [], vehicle.name
+            assert vehicle.pool is None and vehicle.manager is None
+    elif golden.timelines is not None:
         assert _timelines_sha(result) == golden.timelines
     if obs is not None:
         obs.validate()
         if golden.tree_root is not None:
             assert len(obs.deterministic_events()) == golden.observer_events
             assert obs.digest_tree().root_digest == golden.tree_root
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_event_cap_far_above_the_run(name, golden_run):
+    # The runaway guard is a multiple of the fleet's records, so a run
+    # that ends normally stays an order of magnitude below it.
+    orchestrator, _ = golden_run(name)
+    config = orchestrator.config
+    cap = event_cap(config, orchestrator.schedule, range(config.n_vehicles))
+    assert cap >= 10 * orchestrator.sim.events_processed
 
 
 def _perfbench_workloads():
@@ -232,3 +235,15 @@ def test_perfbench_pin(workload):
     spec = _PERFBENCH.WORKLOADS[workload]
     config = FleetConfig(**spec.fleet_kwargs(_PERFBENCH.DEFAULT_SEED))
     assert run_fleet(config).stats.digest() == spec.pinned_digest
+
+
+@pytest.mark.parametrize("workload", sorted(_PERFBENCH.WORKLOADS))
+def test_perfbench_run_far_below_its_cap(workload):
+    # One in-process partition counts every event of the workload.
+    spec = _PERFBENCH.WORKLOADS[workload]
+    kwargs = spec.fleet_kwargs(_PERFBENCH.DEFAULT_SEED)
+    config = FleetConfig(**dict(kwargs, workers=1))
+    orchestrator = FleetOrchestrator(config)
+    assert orchestrator.run().stats.digest() == spec.pinned_digest
+    cap = event_cap(config, None, range(config.n_vehicles))
+    assert cap >= 10 * orchestrator.sim.events_processed

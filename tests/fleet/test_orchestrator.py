@@ -2,23 +2,38 @@
 
 Small fleets keep the real-crypto cost low; the assertions cover the
 lifecycle invariants (everyone enrolls, establishes, re-keys under
-policy, finishes), determinism, CA contention accounting and the
-pooled/pool-less ablation.
+policy, finishes), determinism, CA contention accounting, the
+pooled/pool-less ablation, the runaway guard, the fixed platform and
+streaming release.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from goldens import GOLDENS
+from repro.ec import SECP256R1
+from repro.ecqv import DEFAULT_VALIDITY_SECONDS
 from repro.errors import SimulationError
-from repro.fleet import FleetConfig, FleetOrchestrator, run_fleet
-from repro.hardware import CostModel, DeviceModel
+from repro.fleet import (
+    BehaviorProfile,
+    FleetConfig,
+    FleetOrchestrator,
+    Scenario,
+    run_fleet,
+)
+from repro.fleet.orchestrator import EVENTS_PER_RECORD, event_cap
+from repro.fleet.parallel import run_parallel
+from repro.fleet.topology import CA_BATCH_LIMIT, RECORD_BYTES, plan_v2v_pairs
+from repro.hardware import RASPBERRY_PI4, STM32F767, CostModel, DeviceModel
 from repro.protocols import SessionManager
 from repro.protocols.base import Party
+from repro.testbed import DEFAULT_NOW
 
 #: The table's single-gateway storm: six records under a three-record
 #: budget force exactly one re-key per vehicle.
@@ -125,21 +140,12 @@ class TestConfigValidation:
             FleetConfig(records_per_vehicle=0)
         with pytest.raises(SimulationError):
             FleetConfig(send_interval_ms=0.0)
-        with pytest.raises(SimulationError):
-            FleetConfig(ca_batch_limit=0)
 
     def test_unknown_protocol_rejected(self):
         from repro.errors import ProtocolError
 
         with pytest.raises(ProtocolError):
             FleetConfig(protocol="no-such-protocol")
-
-    def test_unknown_device_rejected_at_construction(self):
-        from repro.errors import HardwareModelError
-
-        for name in ("vehicle_device", "ca_device"):
-            with pytest.raises(HardwareModelError, match="nope"):
-                FleetConfig(**{name: "nope"})
 
     def test_bad_values_raise_typed_config_errors(self):
         from repro.errors import ConfigError
@@ -148,10 +154,7 @@ class TestConfigValidation:
         assert issubclass(ConfigError, SimulationError)
         for kwargs in (
             {"arrival_spread_ms": -1.0},
-            {"record_bytes": 0},
-            {"bus_ms_per_byte": -0.001},
             {"pool_size": -1},
-            {"cert_validity_seconds": 0},
             {"max_age_ms": -5.0},
             {"v2v_fraction": 1.5},
             {"v2v_fraction": -0.1},
@@ -179,6 +182,86 @@ class TestConfigValidation:
         )
         assert orchestrator.shards[0].resource.name == "central-ca"
         assert orchestrator.shards[0].manager.role == "B"
+
+
+def _scale_config(n_vehicles: int, workers: int) -> FleetConfig:
+    """``scale_config`` of ``benchmarks/bench_fleet_scale.py``."""
+    path = Path(__file__).parents[2] / "benchmarks" / "bench_fleet_scale.py"
+    spec = importlib.util.spec_from_file_location("bench_fleet_scale", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scale_config(n_vehicles, workers=workers)
+
+
+class TestEventCap:
+    """Each partition derives its runaway guard from the work it owns."""
+
+    def test_self_rescheduling_callback_raises_at_the_cap(self):
+        config = FleetConfig(
+            n_vehicles=2, seed=b"runaway", records_per_vehicle=1
+        )
+        orchestrator = FleetOrchestrator(config)
+
+        def forever():
+            orchestrator.sim.schedule_after(1.0, forever)
+
+        orchestrator.sim.schedule_at(0.0, forever)
+        cap = event_cap(config, None, range(2))
+        with pytest.raises(SimulationError, match=f"exceeded {cap} events"):
+            orchestrator.run()
+
+    def test_million_vehicle_serial_cell_fits_under_its_cap(self):
+        # The scale sweep's storm processes about 7 events per vehicle
+        # (7.03 at 1,200 vehicles), so its 1M-vehicle serial cell needs
+        # about 7 M.
+        config = _scale_config(1_000_000, workers=1)
+        assert event_cap(config, None, range(config.n_vehicles)) > 7_000_000
+
+    def test_cap_follows_each_profile_budget(self):
+        # One vehicle of two sends 300 records where the config budgets
+        # one: a guard blind to profiles would cut the run off.
+        config = FleetConfig(
+            n_vehicles=2,
+            seed=b"cap-profile",
+            records_per_vehicle=1,
+            send_interval_ms=1.0,
+        )
+        scenario = Scenario(
+            name="heavy",
+            profiles=(
+                BehaviorProfile(
+                    name="heavy", count=1, records_per_vehicle=300
+                ),
+            ),
+        )
+        orchestrator = FleetOrchestrator(config, scenario=scenario)
+        result = orchestrator.run()
+        assert [v.records_sent for v in result.vehicles] == [300, 1]
+        events = orchestrator.sim.events_processed
+        assert event_cap(config, None, range(2)) < events
+        cap = event_cap(config, orchestrator.schedule, range(2))
+        assert cap >= 10 * events
+
+    def test_cap_counts_the_v2v_records_of_each_pair(self):
+        # A pair exchanging 300 records over one gateway record each: a
+        # guard blind to V2V traffic would cut the run off.
+        config = FleetConfig(
+            n_vehicles=2,
+            seed=b"cap-v2v",
+            records_per_vehicle=1,
+            v2v_fraction=1.0,
+            v2v_records=300,
+        )
+        orchestrator = FleetOrchestrator(config)
+        stats = orchestrator.run().stats
+        assert stats.v2v_records_sent == 300
+        events = orchestrator.sim.events_processed
+        assert EVENTS_PER_RECORD * 2 < events
+        # Only the initiator's partition owes the pair's records.
+        ((initiator, responder),) = plan_v2v_pairs(config)
+        assert event_cap(config, None, [responder]) == EVENTS_PER_RECORD
+        assert event_cap(config, None, [initiator]) == EVENTS_PER_RECORD * 301
+        assert event_cap(config, None, range(2)) >= 10 * events
 
 
 #: One run per link kind: gateway links only, and gateway plus V2V links
@@ -261,3 +344,176 @@ def _counted(calls: Counter, owner, name: str):
         return original(*args, **kwargs)
 
     return wrapper
+
+
+#: The seven knobs the fixed platform replaced, each at the value it
+#: last defaulted to.
+_PLATFORM_KNOBS = {
+    "curve": SECP256R1,
+    "vehicle_device": STM32F767.name,
+    "ca_device": RASPBERRY_PI4.name,
+    "bus_ms_per_byte": 0.002,
+    "record_bytes": 32,
+    "cert_validity_seconds": DEFAULT_VALIDITY_SECONDS,
+    "ca_batch_limit": 64,
+}
+
+
+class TestPlatform:
+    """Every fleet runs on one platform: P-256 on the paper's boards."""
+
+    @pytest.mark.parametrize("knob", sorted(_PLATFORM_KNOBS))
+    def test_platform_is_not_configurable(self, knob):
+        # A caller still passing a platform knob fails loudly instead of
+        # running on a platform it did not ask for.
+        with pytest.raises(TypeError, match=knob):
+            FleetConfig(**{knob: _PLATFORM_KNOBS[knob]})
+
+    def test_run_takes_no_event_cap(self):
+        with pytest.raises(TypeError, match="max_events"):
+            FleetOrchestrator(_CONFIG).run(max_events=10)
+
+    def test_run_parallel_takes_no_event_cap(self):
+        orchestrator = FleetOrchestrator(
+            FleetConfig(n_vehicles=4, seed=b"no-cap", shards=2, workers=2)
+        )
+        plan = orchestrator._plan
+        assert plan is not None
+        with pytest.raises(TypeError, match="max_events"):
+            run_parallel(
+                orchestrator.config, None, None, plan, max_events=10
+            )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(
+                FleetConfig(n_vehicles=6, seed=b"validity"), id="one-ca"
+            ),
+            pytest.param(
+                FleetConfig(n_vehicles=6, seed=b"validity", shards=3),
+                id="sub-cas",
+            ),
+            # Shard 0 fails and rejoins under a new sub-CA certificate,
+            # and re-balancing re-enrolls vehicles onto it.
+            pytest.param(GOLDENS["churn"].config, id="churn"),
+        ],
+    )
+    def test_certificates_carry_the_ca_default_validity(self, config):
+        orchestrator = FleetOrchestrator(config)
+        result = orchestrator.run()
+        certificates = [v.credential.certificate for v in result.vehicles]
+        for shard in orchestrator.shards:
+            certificates.append(shard.gateway_credential.certificate)
+            if shard.ca_certificate is not None:
+                certificates.append(shard.ca_certificate)
+        assert len(certificates) > config.n_vehicles + config.shards - 1
+        for certificate in certificates:
+            assert certificate.valid_from == DEFAULT_NOW
+            assert (
+                certificate.valid_to - certificate.valid_from
+                == DEFAULT_VALIDITY_SECONDS
+            )
+
+    @pytest.mark.parametrize("link", sorted(_LINK_CONFIGS))
+    def test_every_record_carries_record_bytes(self, monkeypatch, link):
+        sizes = Counter()
+        send = SessionManager.send
+
+        def measured(manager, peer_id, plaintext):
+            sizes[len(plaintext)] += 1
+            return send(manager, peer_id, plaintext)
+
+        monkeypatch.setattr(SessionManager, "send", measured)
+        stats = run_fleet(_LINK_CONFIGS[link]).stats
+        records = stats.records_sent + stats.v2v_records_sent
+        assert sizes == {RECORD_BYTES: records}
+
+    @pytest.mark.parametrize("link", sorted(_LINK_CONFIGS))
+    def test_vehicles_priced_on_stm32_and_shards_on_rpi4(
+        self, monkeypatch, link
+    ):
+        priced = Counter()
+        time_ms = DeviceModel.time_ms
+
+        def counted(device, cost):
+            priced[device.name] += 1
+            return time_ms(device, cost)
+
+        monkeypatch.setattr(DeviceModel, "time_ms", counted)
+        stats = run_fleet(_LINK_CONFIGS[link]).stats
+        # A vehicle prices its request and reception, its side of every
+        # session and each record it sends or receives over V2V; a shard
+        # its batches, its side of each gateway session and each gateway
+        # record it receives.
+        assert priced == {
+            STM32F767.name: 2 * stats.enrollments
+            + stats.sessions_established
+            + 2 * stats.v2v_sessions
+            + stats.records_sent
+            + 2 * stats.v2v_records_sent,
+            RASPBERRY_PI4.name: stats.ca_batches
+            + stats.sessions_established
+            + stats.records_sent,
+        }
+
+    def test_ca_batch_folds_at_most_the_batch_limit(self):
+        # Twice the limit and five more vehicles request at once.
+        n_vehicles = 2 * CA_BATCH_LIMIT + 5
+        stats = run_fleet(
+            FleetConfig(
+                n_vehicles=n_vehicles,
+                seed=b"batch-limit",
+                records_per_vehicle=1,
+                arrival_spread_ms=0.0,
+                backend="accelerated",
+            )
+        ).stats
+        assert stats.enrollments == n_vehicles
+        assert stats.ca_max_batch == CA_BATCH_LIMIT
+        assert stats.ca_batches >= 3
+
+
+class TestStreamingRelease:
+    """Streaming drops a vehicle's state once its last link ends."""
+
+    # A pair starts once both vehicles established at their gateway;
+    # slow gateway traffic outlasts the pairing, fast traffic does not.
+    @pytest.mark.parametrize(
+        "last, send_interval_ms", [("pairing", 25.0), ("gateway", 800.0)]
+    )
+    def test_state_kept_until_the_last_link_ends(
+        self, monkeypatch, last, send_interval_ms
+    ):
+        release = FleetOrchestrator._release_vehicle
+        held = []  # paired vehicles kept whole while one link was live
+
+        def checked(orchestrator, vehicle):
+            release(orchestrator, vehicle)
+            gateway_live = vehicle.done_at is None
+            pairing_live = (
+                vehicle.v2v_peer_index is not None
+                and vehicle.v2v_done_at is None
+            )
+            live = gateway_live or pairing_live
+            assert (vehicle.manager is None) == (not live), vehicle.name
+            assert (vehicle.pool is None) == (not live), vehicle.name
+            if live:
+                held.append("pairing" if pairing_live else "gateway")
+
+        monkeypatch.setattr(FleetOrchestrator, "_release_vehicle", checked)
+        config = FleetConfig(
+            n_vehicles=8,
+            seed=b"release-order",
+            records_per_vehicle=12,
+            send_interval_ms=send_interval_ms,
+            shards=2,
+            v2v_fraction=0.5,
+            v2v_records=4,
+            stream=True,
+        )
+        result = run_fleet(config)
+        assert last in held
+        for vehicle in result.vehicles:
+            assert vehicle.events == [], vehicle.name
+            assert vehicle.pool is None and vehicle.manager is None

@@ -287,6 +287,38 @@ class TestDigestParity:
         assert fallback.digest() == serial.digest()
 
 
+# -- runaway guard ------------------------------------------------------------
+
+
+class TestPartitionCap:
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_each_partition_runs_far_below_its_own_cap(self, workers):
+        # A worker guards only the records of the vehicles it owns, so
+        # the partition caps add up to the whole fleet's.
+        from repro.fleet.orchestrator import event_cap
+        from repro.fleet.parallel import _worker_run
+
+        config = _base(b"partition-cap", workers=workers)
+        plan = partition_plan(config, None)
+        assert plan.workers == workers
+        serial = FleetOrchestrator(dataclasses.replace(config, workers=1))
+        worker_config = dataclasses.replace(
+            config, workers=1, stream=True, backend="reference"
+        )
+        caps = []
+        for worker, owned in enumerate(plan.owned):
+            mine = [
+                v.index
+                for v in serial.vehicles
+                if serial._predicted_shard(v) in owned
+            ]
+            cap = event_cap(config, None, mine)
+            snap = _worker_run((worker, owned, worker_config, None, False))
+            assert cap >= 10 * snap.events_processed > 0
+            caps.append(cap)
+        assert sum(caps) == event_cap(config, None, range(18))
+
+
 # -- result surface -----------------------------------------------------------
 
 
@@ -296,6 +328,24 @@ class TestParallelResultSurface:
         assert result.vehicles == []
         serial = run_fleet(_base(b"surface"))
         assert len(serial.vehicles) == 18
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_workers_always_stream(self, monkeypatch, stream):
+        # No caller can read a worker's timelines or intervals.
+        from repro.fleet import parallel as par
+
+        real_run_workers = par._run_workers
+        payloads = []
+
+        def spying_run_workers(plan, worker_payloads):
+            payloads.extend(worker_payloads)
+            return real_run_workers(plan, worker_payloads)
+
+        monkeypatch.setattr(par, "_run_workers", spying_run_workers)
+        config = _base(b"surface-stream", workers=2, stream=stream)
+        serial = run_fleet(dataclasses.replace(config, workers=1)).stats
+        assert run_fleet(config).stats.digest() == serial.digest()
+        assert [payload[2].stream for payload in payloads] == [True, True]
 
     def test_observer_gets_merged_metrics_and_meta(self):
         obs = Observer(wall_clock=True)
@@ -326,7 +376,7 @@ class TestParallelResultSurface:
             orch.config, workers=1, backend="reference"
         )
         snap = _worker_run(
-            (0, orch._plan.owned[0], worker_config, None, False, 5_000_000)
+            (0, orch._plan.owned[0], worker_config, None, False)
         )
         assert snap.checksum == _checksum(snap)
         snap.counters["records_sent"] += 1
