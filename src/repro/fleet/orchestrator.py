@@ -109,8 +109,8 @@ from .scenario import (
     CaQueueFlood,
     ReplayStorm,
     Scenario,
+    ScenarioSchedule,
     StaleCertFlood,
-    UniformArrivals,
     compile_scenario,
 )
 from .stats import ExactSum, FleetStats, ShardStats, StreamingLatency
@@ -320,22 +320,16 @@ class FleetConfig(CheckedSpec):
 EVENTS_PER_RECORD = 100
 
 
-def _records_due(config: FleetConfig, schedule, index: int) -> int:
-    """Records vehicle ``index`` must deliver (profile-aware)."""
-    profile = None if schedule is None else schedule.profile_for(index)
-    if profile is None:
-        return config.records_per_vehicle
-    return profile.records_per_vehicle
-
-
-def event_cap(config: FleetConfig, schedule, vehicles) -> int:
+def event_cap(
+    config: FleetConfig, schedule: ScenarioSchedule, vehicles
+) -> int:
     """The runaway guard of a partition that owns ``vehicles`` (indices).
 
     :data:`EVENTS_PER_RECORD` per record those vehicles and the V2V pairs
     they initiate must deliver; pure, so it is known before a fleet is built.
     """
     owned = set(vehicles)
-    records = sum(_records_due(config, schedule, i) for i in owned)
+    records = sum(schedule.profile_for(i).records_per_vehicle for i in owned)
     pairs = sum(a in owned for a, _ in plan_v2v_pairs(config))
     return EVENTS_PER_RECORD * (records + pairs * config.v2v_records)
 
@@ -377,13 +371,14 @@ class FleetResult:
 class FleetOrchestrator:
     """Drives a whole fleet through enrollment, sessions and re-keys.
 
-    An optional :class:`~repro.fleet.scenario.Scenario` makes the
-    workload declarative: the compiled schedule supplies per-vehicle
-    arrival times, behavior-profile overrides (record budgets, send
-    intervals, re-key budgets, roaming, convoy shard pins) and
-    adversarial injections executed against the live fleet.  Without a
-    scenario — or with the legacy uniform scenario — every code path and
-    DRBG stream is bit-identical to the pre-scenario orchestrator.
+    Every run executes one compiled
+    :class:`~repro.fleet.scenario.ScenarioSchedule`: per-vehicle arrival
+    times, behavior profiles (record budgets, send intervals, re-key
+    budgets, roaming), convoy shard pins and adversarial injections
+    executed against the live fleet.  A run given no
+    :class:`~repro.fleet.scenario.Scenario` executes the compiled
+    ``legacy-uniform`` schedule; its stats and observer meta still name
+    no scenario.
     """
 
     def __init__(
@@ -401,9 +396,7 @@ class FleetOrchestrator:
             self._hooks = None
         self.config = config
         self.scenario = scenario
-        self.schedule = (
-            compile_scenario(scenario, config) if scenario is not None else None
-        )
+        self.schedule = compile_scenario(scenario, config)
         self._plan = partition_plan(config, self.schedule)
         if self._plan is not None:
             # Parallel run: provisioning happens inside each worker
@@ -412,11 +405,9 @@ class FleetOrchestrator:
             # cost for nothing.  run() dispatches to the worker pool.
             return
         with use_backend(config.backend):
-            self._build(config, scenario)
+            self._build(config)
 
-    def _build(
-        self, config: FleetConfig, scenario: "Scenario | None"
-    ) -> None:
+    def _build(self, config: FleetConfig) -> None:
         """Provision topology, shards and vehicles (backend-scoped)."""
         self.sim = Simulator()
         self.topology = FleetTopology(config)
@@ -436,13 +427,7 @@ class FleetOrchestrator:
                 policy=policy,
                 clock=clock,
             )
-        if self.schedule is None:
-            # One authoritative implementation of the legacy jitter
-            # stream: UniformArrivals replays it bit-identically (pinned
-            # by test_uniform_matches_legacy_jitter).
-            arrivals = list(UniformArrivals().compile(config))
-        else:
-            arrivals = list(self.schedule.arrival_ms)
+        schedule = self.schedule
         self.vehicles: list[Vehicle] = []
         for index in range(config.n_vehicles):
             name = f"veh{index:04d}"
@@ -450,22 +435,20 @@ class FleetOrchestrator:
                 name=name,
                 index=index,
                 device_id=device_id(name),
-                arrival_ms=arrivals[index],
+                arrival_ms=schedule.arrival_ms[index],
+                pinned_shard=schedule.pinned_shard[index],
             )
             vehicle_policy = policy
-            if self.schedule is not None:
-                vehicle.profile = self.schedule.profile_of[index]
-                vehicle.pinned_shard = self.schedule.pinned_shard[index]
-                profile = self.schedule.profile_for(index)
-                if profile is not None and profile.max_records is not None:
-                    # A commuter re-key cadence: the vehicle-side manager
-                    # enforces the tighter record budget (the gateway side
-                    # keeps the fleet policy; whichever expires first
-                    # forces the re-key).
-                    vehicle_policy = SessionPolicy(
-                        max_age_seconds=config.max_age_ms / 1000.0,
-                        max_records=profile.max_records,
-                    )
+            max_records = schedule.profile_for(index).max_records
+            if max_records is not None:
+                # A commuter re-key cadence: the vehicle-side manager
+                # enforces the tighter record budget (the gateway side
+                # keeps the fleet policy; whichever expires first
+                # forces the re-key).
+                vehicle_policy = SessionPolicy(
+                    max_age_seconds=config.max_age_ms / 1000.0,
+                    max_records=max_records,
+                )
             vehicle.manager = SessionManager(
                 self._vehicle_context_factory(vehicle),
                 "A",
@@ -497,9 +480,7 @@ class FleetOrchestrator:
         #: re-enrollment (keyed by vehicle index).
         self._re_enroll_followups: dict[int, list] = {}
         # -- scenario injection state -----------------------------------------
-        injections = (
-            self.schedule.injections if self.schedule is not None else ()
-        )
+        injections = schedule.injections
         #: Per-injection accounting, index-aligned with the schedule.
         self._injection_log: list[dict] = [
             {"kind": spec.kind, "at_ms": spec.at_ms, "attempts": 0,
@@ -525,7 +506,7 @@ class FleetOrchestrator:
         #: is digest-neutral for every other bundle.
         self._last_storm_ms: float | None = None
         self.policy = PolicyEngine(
-            resolve_policies(config, self.schedule), note=self._note
+            resolve_policies(config, schedule), note=self._note
         )
 
     # -- deterministic context factories --------------------------------------
@@ -861,7 +842,6 @@ class FleetOrchestrator:
         )
 
     def _vehicle_view(self, vehicle: Vehicle) -> VehicleView:
-        profile = self._profile_of(vehicle)
         return VehicleView(
             index=vehicle.index,
             name=vehicle.name,
@@ -873,9 +853,7 @@ class FleetOrchestrator:
             migrating=vehicle.migrating,
             re_enrolling=vehicle.re_enrolling,
             pinned_shard=vehicle.pinned_shard,
-            roam_every=(
-                profile.roam_every if profile is not None else None
-            ),
+            roam_every=self.schedule.profile_for(vehicle.index).roam_every,
             last_roam_records=vehicle.last_roam_records,
         )
 
@@ -974,7 +952,15 @@ class FleetOrchestrator:
         deterministic points (application sends), passing the deciding
         rule's kind via ``rule`` so the decision is attributed once —
         direct API calls are attributed to the pseudo-rule ``"api"``.
+        Only a live vehicle migrates: one that has enrolled and is not
+        done.
         """
+        done = vehicle.done_at is not None
+        if done or vehicle.enrolled_at is None:
+            state = "is done" if done else "has not enrolled"
+            raise SimulationError(
+                f"{vehicle.name} {state}; only a live vehicle migrates"
+            )
         target = self.shards[shard] if isinstance(shard, int) else shard
         old = self.shards[vehicle.shard]
         if target.index == old.index:
@@ -1193,25 +1179,13 @@ class FleetOrchestrator:
             if then is not None:
                 then()
             self.sim.schedule_after(
-                self._send_interval(vehicle), lambda: self._send(vehicle)
+                self.schedule.profile_for(vehicle.index).send_interval_ms,
+                lambda: self._send(vehicle),
             )
 
         self.sim.schedule_at(done, finish)
 
     # -- managed traffic ---------------------------------------------------------
-
-    def _profile_of(self, vehicle: Vehicle):
-        """The vehicle's compiled behavior profile (None = defaults)."""
-        if self.schedule is None or not vehicle.profile:
-            return None
-        return self.schedule.profiles[vehicle.profile]
-
-    def _send_interval(self, vehicle: Vehicle) -> float:
-        """Spacing between this vehicle's records (profile-aware)."""
-        profile = self._profile_of(vehicle)
-        if profile is None:
-            return self.config.send_interval_ms
-        return profile.send_interval_ms
 
     def _release_vehicle(self, vehicle: Vehicle) -> None:
         """Streaming mode: drop a vehicle's state once its last link ends.
@@ -1256,8 +1230,8 @@ class FleetOrchestrator:
             # A send scheduled before an explicit migrate() call: the
             # post-migration establishment starts the next send.
             return
-        due = _records_due(self.config, self.schedule, vehicle.index)
-        if vehicle.records_sent >= due:
+        profile = self.schedule.profile_for(vehicle.index)
+        if vehicle.records_sent >= profile.records_per_vehicle:
             vehicle.done_at = self.sim.now
             self.shards[vehicle.shard].active_vehicles -= 1
             self._note("done", vehicle, f"{vehicle.records_sent} records")
@@ -1330,7 +1304,7 @@ class FleetOrchestrator:
         self._note("record", vehicle, wire_bytes=len(record))
         bus_ms = len(record) * BUS_MS_PER_BYTE
         self.sim.schedule_after(
-            self._send_interval(vehicle) + send_ms + bus_ms,
+            profile.send_interval_ms + send_ms + bus_ms,
             lambda: self._send(vehicle),
         )
 
@@ -1682,10 +1656,7 @@ class FleetOrchestrator:
                 self.sim.schedule_at(
                     self.config.shard_rejoin_at_ms, self._rejoin_shard
                 )
-        injections = (
-            self.schedule.injections if self.schedule is not None else ()
-        )
-        for index, spec in enumerate(injections):
+        for index, spec in enumerate(self.schedule.injections):
             target = getattr(spec, "target_shard", self.config.fail_shard)
             if target in owned:
                 self.sim.schedule_at(
@@ -1769,7 +1740,8 @@ def run_fleet(
             ``config.backend`` picks the crypto backend of the run.
         scenario: optional declarative workload
             (:class:`~repro.fleet.scenario.Scenario`); ``None`` runs the
-            legacy uniform arrival storm.
+            compiled ``legacy-uniform`` schedule, the uniform arrival
+            storm.
         obs: optional :class:`repro.obs.Observer` collecting spans,
             metrics and heartbeats for this run (also returned on
             ``FleetResult.obs``).  Observability is digest-neutral:

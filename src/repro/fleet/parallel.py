@@ -407,7 +407,6 @@ def _merge(config, scenario, schedule, snapshots) -> FleetStats:
         for key, table in snap.latencies.items():
             latencies[key].merge(table)
         energy.merge(snap.vehicle_energy)
-    injections = schedule.injections if schedule is not None else ()
     return FleetStats(
         vehicles=config.n_vehicles,
         duration_ms=now,
@@ -434,9 +433,7 @@ def _merge(config, scenario, schedule, snapshots) -> FleetStats:
         per_shard=per_shard,
         scenario=scenario.name if scenario is not None else "",
         policy=config.policy or "",
-        profile_counts=(
-            schedule.profile_counts if schedule is not None else ()
-        ),
+        profile_counts=schedule.profile_counts,
         injection_stats=tuple(
             InjectionStats(
                 kind=spec.kind,
@@ -445,7 +442,7 @@ def _merge(config, scenario, schedule, snapshots) -> FleetStats:
                 rejected=sum(s.injection_rows[i][1] for s in snapshots),
                 succeeded=sum(s.injection_rows[i][2] for s in snapshots),
             )
-            for i, spec in enumerate(injections)
+            for i, spec in enumerate(schedule.injections)
         ),
     )
 

@@ -237,14 +237,20 @@ def register_policy(kind: str):
     return decorate
 
 
-def policy_dict(rule) -> dict:
-    """Render one policy rule as a JSON-compatible dict (lossless)."""
+def _check_registered(rule) -> None:
+    """Raise :class:`~repro.errors.PolicyError` unless ``rule`` is an
+    instance of exactly the class registered under its kind."""
     cls = POLICY_RULES.get(getattr(rule, "kind", None))
     if cls is None or type(rule) is not cls:
         raise PolicyError(
             f"not a registered policy rule: {rule!r}"
             f" (known kinds: {sorted(POLICY_RULES)})"
         )
+
+
+def policy_dict(rule) -> dict:
+    """Render one policy rule as a JSON-compatible dict (lossless)."""
+    _check_registered(rule)
     payload = {"kind": rule.kind}
     for field_ in fields(rule):
         payload[field_.name] = getattr(rule, field_.name)
@@ -469,10 +475,10 @@ class RoamCadence:
     """Roamer cadence — migrate to the next alive shard every
     ``roam_every`` delivered records (profile-driven).
 
-    Bit-identical extraction of the orchestrator's ``_maybe_roam``
-    guard chain; fires with ``roam=True`` so the orchestrator applies
-    the roam bookkeeping (``last_roam_records`` marker, ``roams``
-    counter) exactly as before.
+    Installed when a schedule profile roams, and checked at the
+    ``migrate`` decision point of every application send; fires with
+    ``roam=True`` so the orchestrator applies the roam bookkeeping
+    (``last_roam_records`` marker, ``roams`` counter).
     """
 
     point = "migrate"
@@ -504,11 +510,11 @@ class RoamCadence:
 @register_policy("threshold-rebalance")
 @dataclass(frozen=True)
 class ThresholdRebalance(CheckedSpec):
-    """Imbalance-triggered migration — the legacy ``migrate_threshold``.
+    """Imbalance-triggered migration — ``FleetConfig.migrate_threshold``.
 
-    Bit-identical extraction of the orchestrator's ``_maybe_migrate``:
-    move a vehicle to the least-loaded alive shard when its current
-    shard holds more than ``threshold`` more active vehicles.
+    Checked at the ``migrate`` decision point of every application
+    send: move a vehicle to the least-loaded alive shard when its
+    current shard holds more than ``threshold`` more active vehicles.
     """
 
     point = "migrate"
@@ -731,9 +737,11 @@ def resolve_policies(config, schedule=None) -> tuple:
     Scenario-shipped rules (``Scenario.policies``) come first so they
     can pre-empt the bundle at shared decision points; the bundle named
     by ``config.policy`` (``None`` means ``default``) supplies the
-    baseline strategies after them.  An unknown bundle, a knob the
-    bundle would silently drop, or a knob its rules reject raises
-    :class:`~repro.errors.PolicyError`.
+    baseline strategies after them.  ``schedule`` is the run's compiled
+    :class:`~repro.fleet.scenario.ScenarioSchedule`; ``FleetConfig``
+    validates its knobs before any schedule exists, with ``None``.  An
+    unknown bundle, a knob the bundle would silently drop, or a knob its
+    rules reject raises :class:`~repro.errors.PolicyError`.
     """
     name = config.policy or "default"
     factory = POLICY_BUNDLES.get(name)
@@ -777,12 +785,7 @@ class PolicyEngine:
         self._points: dict = {point: [] for point in DECISION_POINTS}
         self.decision_counts: dict = {}
         for rule in rules:
-            cls = POLICY_RULES.get(getattr(rule, "kind", None))
-            if cls is None or type(rule) is not cls:
-                raise PolicyError(
-                    f"not a registered policy rule: {rule!r}"
-                    f" (known kinds: {sorted(POLICY_RULES)})"
-                )
+            _check_registered(rule)
             point = getattr(rule, "point", None)
             if point not in self._points:
                 raise PolicyError(

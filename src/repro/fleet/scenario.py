@@ -31,10 +31,9 @@ fully resolved per-vehicle arrival times, profile assignments, convoy
 pins and time-ordered injections the
 :class:`~repro.fleet.FleetOrchestrator` consumes.  Compilation is a pure
 function of ``(spec, seed)``: equal inputs produce bit-identical
-schedules (:meth:`ScenarioSchedule.digest`), and the legacy uniform
-spec reproduces the pre-scenario orchestrator's arrival stream — and
-therefore its :class:`~repro.fleet.stats.FleetStats` digests — bit for
-bit.
+schedules (:meth:`ScenarioSchedule.digest`).  A run given no scenario
+executes the compiled ``legacy-uniform`` schedule, so every run reads
+its workload from one schedule.
 
 Specs round-trip through JSON losslessly: ``load_scenario(s.as_dict())
 == s`` and ``load_scenario(json.dumps(s.as_dict())) == s``.  Each part
@@ -109,10 +108,9 @@ class UniformArrivals(_Part):
     """Legacy arrivals: uniform jitter over ``[0, spread_ms)``.
 
     With ``spread_ms=None`` the spread comes from
-    ``config.arrival_spread_ms`` and the compiled arrival stream is
-    *bit-identical* to the pre-scenario orchestrator's (same DRBG
-    derivation, same draw order) — the parity anchor every golden digest
-    relies on.
+    ``config.arrival_spread_ms``: the arrivals of the ``legacy-uniform``
+    scenario, which a run given no scenario executes — the stream every
+    golden digest relies on.
 
     Attributes:
         spread_ms: jitter window in simulated ms (``None`` = take the
@@ -269,7 +267,8 @@ class BehaviorProfile(_Part):
 
     Attributes:
         name: profile identity (unique within a scenario; shows up in the
-            stats' profile counters).
+            stats' profile counters).  The empty name is reserved for
+            the config-default profile of unclaimed vehicles.
         count: vehicles this profile claims (>= 1).
         records_per_vehicle: per-vehicle record budget override.
         send_interval_ms: per-vehicle record spacing override.
@@ -308,6 +307,9 @@ class BehaviorProfile(_Part):
         )
 
 
+_PROFILE_KINDS = {BehaviorProfile.kind: BehaviorProfile}
+
+
 @dataclass(frozen=True)
 class CompiledProfile:
     """A profile resolved against one config (all ``None`` filled in)."""
@@ -319,8 +321,17 @@ class CompiledProfile:
     roam_every: int | None
 
     @classmethod
-    def resolve(cls, profile: BehaviorProfile, config) -> "CompiledProfile":
-        """Fill a profile's inherited fields from the fleet config."""
+    def resolve(
+        cls, profile: "BehaviorProfile | None", config
+    ) -> "CompiledProfile":
+        """Fill a profile's inherited fields from the fleet config.
+
+        ``None`` resolves the behavior of a vehicle no profile claims:
+        the config's own, under the reserved name ``""``.
+        """
+        if profile is None:
+            return cls("", config.records_per_vehicle,
+                       config.send_interval_ms, None, None)
         return cls(
             name=profile.name,
             records_per_vehicle=(
@@ -534,26 +545,20 @@ class Scenario:
                 f"scenario: {attr} must be a str, got {value!r}",
             )
         _require(bool(self.name), "scenarios need a non-empty name")
-        object.__setattr__(self, "profiles", tuple(self.profiles))
-        object.__setattr__(self, "injections", tuple(self.injections))
-        object.__setattr__(self, "policies", tuple(self.policies))
-        for policy in self.policies:
-            _require(
-                type(policy) in POLICY_RULES.values(),
-                f"policies must be one of {sorted(POLICY_RULES)},"
-                f" got {type(policy).__name__}",
-            )
-        _require(
-            type(self.arrivals) in ARRIVAL_KINDS.values(),
-            f"arrivals must be one of {sorted(ARRIVAL_KINDS)},"
-            f" got {type(self.arrivals).__name__}",
-        )
-        for injection in self.injections:
-            _require(
-                type(injection) in INJECTION_KINDS.values(),
-                f"injections must be one of {sorted(INJECTION_KINDS)},"
-                f" got {type(injection).__name__}",
-            )
+        for attr in ("profiles", "injections", "policies"):
+            object.__setattr__(self, attr, tuple(getattr(self, attr)))
+        for attr, parts, registry in (
+            ("policies", self.policies, POLICY_RULES),
+            ("arrivals", (self.arrivals,), ARRIVAL_KINDS),
+            ("injections", self.injections, INJECTION_KINDS),
+            ("profiles", self.profiles, _PROFILE_KINDS),
+        ):
+            for part in parts:
+                _require(
+                    type(part) in registry.values(),
+                    f"{attr} must be one of {sorted(registry)},"
+                    f" got {type(part).__name__}",
+                )
         names = [profile.name for profile in self.profiles]
         _require(
             len(names) == len(set(names)),
@@ -609,12 +614,7 @@ def load_scenario(data: "dict | str") -> Scenario:
             ScenarioError,
         ),
         profiles=tuple(
-            _load_kinded(
-                payload,
-                {BehaviorProfile.kind: BehaviorProfile},
-                "profile",
-                ScenarioError,
-            )
+            _load_kinded(payload, _PROFILE_KINDS, "profile", ScenarioError)
             for payload in data.get("profiles", [])
         ),
         injections=tuple(
@@ -639,10 +639,13 @@ class ScenarioSchedule:
     convoy partition, and the injections in firing order.
 
     Attributes:
-        scenario: the source spec.
+        scenario: the source spec (``legacy-uniform`` when compiled from
+            ``None``).
         arrival_ms: per-vehicle arrival times.
-        profile_of: per-vehicle profile name (``""`` = config default).
-        profiles: resolved profiles keyed by name.
+        profile_of: per-vehicle profile name (``""`` for a vehicle no
+            profile claims).
+        profiles: resolved profiles keyed by name, the config-default
+            profile under ``""`` included.
         convoys: platoon convoys as tuples of member indices.
         pinned_shard: per-vehicle shard pin (``None`` = policy-assigned).
         injections: injections sorted by ``at_ms`` (stable).
@@ -664,10 +667,14 @@ class ScenarioSchedule:
             for profile in self.scenario.profiles
         )
 
-    def profile_for(self, index: int) -> "CompiledProfile | None":
-        """The resolved profile of vehicle ``index`` (None = default)."""
-        name = self.profile_of[index]
-        return self.profiles[name] if name else None
+    def profile_for(self, index: int) -> CompiledProfile:
+        """The resolved profile of vehicle ``index``.
+
+        The one read of its record budget, send interval, re-key budget
+        and roam cadence; a vehicle no profile claims gets the
+        config-default profile ``""``.
+        """
+        return self.profiles[self.profile_of[index]]
 
     def digest(self) -> str:
         """Stable hash of the fully compiled schedule.
@@ -709,7 +716,7 @@ class ScenarioSchedule:
         return sha256(canonical.encode()).hex()
 
 
-def compile_scenario(scenario: Scenario, config) -> ScenarioSchedule:
+def compile_scenario(scenario: "Scenario | None", config) -> ScenarioSchedule:
     """Resolve a scenario against a config into an executable schedule.
 
     Pure and deterministic: arrival processes draw from seed-derived
@@ -717,8 +724,11 @@ def compile_scenario(scenario: Scenario, config) -> ScenarioSchedule:
     order, platoon convoys synchronize on their leader's arrival and pin
     to a seed-derived shard, and injections are validated against the
     config (actionable :class:`~repro.errors.ScenarioError` on any
-    mismatch) then sorted by firing time.
+    mismatch) then sorted by firing time.  ``None`` compiles the
+    ``legacy-uniform`` scenario: the schedule of a run given none.
     """
+    if scenario is None:
+        scenario = _legacy_uniform()
     claimed = sum(profile.count for profile in scenario.profiles)
     _require(
         claimed <= config.n_vehicles,
@@ -743,6 +753,10 @@ def compile_scenario(scenario: Scenario, config) -> ScenarioSchedule:
             )
     for injection in scenario.injections:
         injection.validate(config)
+    resolved = (
+        CompiledProfile.resolve(profile, config)
+        for profile in (None, *scenario.profiles)
+    )
 
     arrival = list(scenario.arrivals.compile(config))
     profile_of = [""] * config.n_vehicles
@@ -773,10 +787,7 @@ def compile_scenario(scenario: Scenario, config) -> ScenarioSchedule:
         scenario=scenario,
         arrival_ms=tuple(arrival),
         profile_of=tuple(profile_of),
-        profiles={
-            profile.name: CompiledProfile.resolve(profile, config)
-            for profile in scenario.profiles
-        },
+        profiles={profile.name: profile for profile in resolved},
         convoys=tuple(convoys),
         pinned_shard=tuple(pinned),
         injections=tuple(
@@ -793,8 +804,8 @@ def _legacy_uniform() -> Scenario:
         name="legacy-uniform",
         description=(
             "The pre-scenario workload: uniform arrival jitter, default"
-            " behavior, no adversary.  Bit-identical to running without a"
-            " scenario at all."
+            " behavior, no adversary.  The schedule a run given no"
+            " scenario executes."
         ),
     )
 

@@ -112,8 +112,6 @@ class Vehicle:
     v2v_records_sent: int = 0
     v2v_done_at: float | None = None
     # -- scenario extensions (defaults = config-driven behavior) -------------
-    #: Behavior-profile name assigned by the compiled scenario ("" = none).
-    profile: str = ""
     #: Shard this vehicle is pinned to (platoon convoys); ``None`` lets the
     #: topology's assignment policy place it.
     pinned_shard: int | None = None

@@ -398,6 +398,52 @@ class TestV2VChurnOverlap:
             assert not vehicle.re_enrolling
 
 
+class TestMigrateNeedsALiveVehicle:
+    """``migrate()`` moves only a vehicle between enrollment and done.
+
+    Unguarded, a migrate before enrollment drives its shard's active
+    count to -1, and one after done re-enrolls the vehicle and books a
+    second done (an observed run ends a span twice, a streaming run
+    reaches the released manager).
+    """
+
+    @pytest.mark.parametrize(
+        "at_ms, observe, stream, state",
+        [
+            (0.0, False, False, "has not enrolled"),
+            (60_000.0, False, False, "is done"),
+            (60_000.0, True, False, "is done"),
+            (60_000.0, False, True, "is done"),
+        ],
+        ids=[
+            "before-enrollment",
+            "after-done",
+            "after-done-observed",
+            "after-done-stream",
+        ],
+    )
+    def test_migrating_a_vehicle_that_is_not_live_raises(
+        self, at_ms, observe, stream, state
+    ):
+        config = _topology_config(
+            n_vehicles=4, seed=b"migrate-guard", shards=2, stream=stream
+        )
+        orchestrator = FleetOrchestrator(
+            config, obs=Observer() if observe else None
+        )
+        vehicle = orchestrator.vehicles[0]
+        orchestrator.sim.schedule_at(
+            at_ms,
+            lambda: orchestrator.migrate(
+                vehicle, orchestrator.shards[1 - vehicle.shard]
+            ),
+        )
+        with pytest.raises(SimulationError, match=f"veh0000 {state}"):
+            orchestrator.run()
+        assert vehicle.migrations == 0
+        assert all(s.active_vehicles >= 0 for s in orchestrator.shards)
+
+
 class TestChurnConfigValidation:
     def test_bad_churn_configs_rejected(self):
         with pytest.raises(SimulationError):

@@ -245,5 +245,5 @@ def test_perfbench_run_far_below_its_cap(workload):
     config = FleetConfig(**dict(kwargs, workers=1))
     orchestrator = FleetOrchestrator(config)
     assert orchestrator.run().stats.digest() == spec.pinned_digest
-    cap = event_cap(config, None, range(config.n_vehicles))
+    cap = event_cap(config, orchestrator.schedule, range(config.n_vehicles))
     assert cap >= 10 * orchestrator.sim.events_processed

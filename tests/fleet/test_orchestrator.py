@@ -25,6 +25,7 @@ from repro.fleet import (
     FleetConfig,
     FleetOrchestrator,
     Scenario,
+    compile_scenario,
     run_fleet,
 )
 from repro.fleet.orchestrator import EVENTS_PER_RECORD, event_cap
@@ -206,7 +207,7 @@ class TestEventCap:
             orchestrator.sim.schedule_after(1.0, forever)
 
         orchestrator.sim.schedule_at(0.0, forever)
-        cap = event_cap(config, None, range(2))
+        cap = event_cap(config, orchestrator.schedule, range(2))
         with pytest.raises(SimulationError, match=f"exceeded {cap} events"):
             orchestrator.run()
 
@@ -215,7 +216,10 @@ class TestEventCap:
         # (7.03 at 1,200 vehicles), so its 1M-vehicle serial cell needs
         # about 7 M.
         config = _scale_config(1_000_000, workers=1)
-        assert event_cap(config, None, range(config.n_vehicles)) > 7_000_000
+        cap = event_cap(
+            config, compile_scenario(None, config), range(config.n_vehicles)
+        )
+        assert cap > 7_000_000
 
     def test_cap_follows_each_profile_budget(self):
         # One vehicle of two sends 300 records where the config budgets
@@ -238,7 +242,9 @@ class TestEventCap:
         result = orchestrator.run()
         assert [v.records_sent for v in result.vehicles] == [300, 1]
         events = orchestrator.sim.events_processed
-        assert event_cap(config, None, range(2)) < events
+        # The config-default schedule is the guard blind to profiles.
+        blind = compile_scenario(None, config)
+        assert event_cap(config, blind, range(2)) < events
         cap = event_cap(config, orchestrator.schedule, range(2))
         assert cap >= 10 * events
 
@@ -259,9 +265,13 @@ class TestEventCap:
         assert EVENTS_PER_RECORD * 2 < events
         # Only the initiator's partition owes the pair's records.
         ((initiator, responder),) = plan_v2v_pairs(config)
-        assert event_cap(config, None, [responder]) == EVENTS_PER_RECORD
-        assert event_cap(config, None, [initiator]) == EVENTS_PER_RECORD * 301
-        assert event_cap(config, None, range(2)) >= 10 * events
+        schedule = orchestrator.schedule
+        assert event_cap(config, schedule, [responder]) == EVENTS_PER_RECORD
+        assert (
+            event_cap(config, schedule, [initiator])
+            == EVENTS_PER_RECORD * 301
+        )
+        assert event_cap(config, schedule, range(2)) >= 10 * events
 
 
 #: One run per link kind: gateway links only, and gateway plus V2V links

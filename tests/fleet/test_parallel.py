@@ -299,7 +299,8 @@ class TestPartitionCap:
         from repro.fleet.parallel import _worker_run
 
         config = _base(b"partition-cap", workers=workers)
-        plan = partition_plan(config, None)
+        schedule = compile_scenario(None, config)
+        plan = partition_plan(config, schedule)
         assert plan.workers == workers
         serial = FleetOrchestrator(dataclasses.replace(config, workers=1))
         worker_config = dataclasses.replace(
@@ -312,11 +313,11 @@ class TestPartitionCap:
                 for v in serial.vehicles
                 if serial._predicted_shard(v) in owned
             ]
-            cap = event_cap(config, None, mine)
+            cap = event_cap(config, schedule, mine)
             snap = _worker_run((worker, owned, worker_config, None, False))
             assert cap >= 10 * snap.events_processed > 0
             caps.append(cap)
-        assert sum(caps) == event_cap(config, None, range(18))
+        assert sum(caps) == event_cap(config, schedule, range(18))
 
 
 # -- result surface -----------------------------------------------------------

@@ -9,8 +9,8 @@ Three layers under test:
   profiles claim vehicles deterministically, convoys synchronize and pin.
 * **Engine layer** — the orchestrator honors profiles (budgets, roaming,
   pinning), executes adversarial injections against the live fleet with
-  full rejection and zero forgeries, and keeps the legacy path
-  bit-identical to running without a scenario at all.
+  full rejection and zero forgeries, and runs the compiled
+  ``legacy-uniform`` schedule when given no scenario at all.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.fleet import (
     BehaviorProfile,
     BurstArrivals,
     CaQueueFlood,
+    CompiledProfile,
     DiurnalArrivals,
     FleetConfig,
     FleetOrchestrator,
@@ -35,8 +36,34 @@ from repro.fleet import (
     get_scenario,
     load_scenario,
 )
+from repro.obs import Observer
 
 SEED = b"scenario-tests"
+
+#: One config every named scenario compiles against: two shards for the
+#: roamers and convoys, signed requests for the CA flood, and a failure
+#: at 3 s with a rejoin at 5 s for the stale-cert flood.
+PIN_CONFIG = FleetConfig(
+    n_vehicles=32,
+    seed=b"schedule-pins",
+    shards=2,
+    authenticate_requests=True,
+    shard_fail_at_ms=3000.0,
+    shard_rejoin_at_ms=5000.0,
+)
+
+#: ``ScenarioSchedule.digest()`` of each named scenario on PIN_CONFIG.
+SCHEDULE_PINS = {
+    "legacy-uniform": "fd9ddf4e26fabe9876d95963f4852f8e4b951c1ead06a140820a3a8bd16751d1",
+    "rush-hour": "17898dfacb2bb691ba8d3efa393e269338fb304b0f17e1816c47096f00879aeb",
+    "poisson-open-road": "e2d193b82f06cb559c802126b584e5c231b30ea562ea1d64c1fcf8490e5c2899",
+    "diurnal-commute": "548abccf5235812bce25ac0d15935c952f4c5f8a8f505d8b2b9a5664a7ee3403",
+    "platoon-convoys": "d22fa698fff1d82c170b9bc46625fcff74c9e04b33a9dc5420667c1d44b75319",
+    "roaming-rebalance": "2c98c22f1d0720deed587151ea5d63e3f1a89731defc3110f06adddaeb17587e",
+    "replay-storm": "465a3f5922aad443c72fccf6f6bad0693729eb509c5c4e3904a0a35b5afe4add",
+    "stale-cert-flood": "e1622f5a9f2ba30fdd2fa3680de6835a62a67a1b052f5b1ab2bcdc81d7b816b5",
+    "ca-flood": "dc7bbdec8d5fb0584856e85879ad7c22a6e1b587d06398f0956c1311e2c619e7",
+}
 
 
 def small_config(**overrides) -> FleetConfig:
@@ -113,6 +140,14 @@ class TestSpecValidation:
                     BehaviorProfile(name="p", count=1),
                 ),
             )
+        for part in (
+            {"name": "a", "count": 1},
+            UniformArrivals(),
+            ReplayStorm(at_ms=1.0),
+        ):
+            kind = type(part).__name__
+            with pytest.raises(ScenarioError, match=f"profiles .* got {kind}"):
+                Scenario(name="x", profiles=(part,))
 
 
 class TestCompileValidation:
@@ -189,6 +224,27 @@ class TestCompilation:
             for _ in range(config.n_vehicles)
         )
         assert schedule.arrival_ms == expected
+
+    def test_unclaimed_vehicles_get_the_config_default_profile(self):
+        config = small_config(n_vehicles=4)
+        scenario = Scenario(
+            name="x",
+            profiles=(
+                BehaviorProfile(name="a", count=1, records_per_vehicle=9),
+            ),
+        )
+        schedule = compile_scenario(scenario, config)
+        assert schedule.profile_for(0).records_per_vehicle == 9
+        default = CompiledProfile(
+            name="",
+            records_per_vehicle=config.records_per_vehicle,
+            send_interval_ms=config.send_interval_ms,
+            max_records=None,
+            roam_every=None,
+        )
+        assert schedule.profile_for(3) == default
+        legacy = compile_scenario(None, config)
+        assert [legacy.profile_for(i) for i in range(4)] == [default] * 4
 
     def test_burst_arrivals_land_in_their_waves(self):
         config = small_config(n_vehicles=12)
@@ -270,7 +326,39 @@ class TestCompilation:
         assert [inj.at_ms for inj in schedule.injections] == [10.0, 500.0]
 
 
+class TestSchedulePins:
+    """Schedule digests are pinned, not only compared run against run."""
+
+    def test_pins_cover_every_named_scenario(self):
+        assert set(SCHEDULE_PINS) == set(NAMED_SCENARIOS)
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_PINS))
+    def test_named_schedule_digest_is_pinned(self, name):
+        schedule = compile_scenario(get_scenario(name), PIN_CONFIG)
+        assert schedule.digest() == SCHEDULE_PINS[name]
+
+    def test_no_scenario_compiles_the_legacy_uniform_pin(self):
+        schedule = compile_scenario(None, PIN_CONFIG)
+        assert schedule.scenario == get_scenario("legacy-uniform")
+        assert schedule.digest() == SCHEDULE_PINS["legacy-uniform"]
+
+
 class TestEngine:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_given_no_scenario_executes_the_legacy_schedule(
+        self, workers
+    ):
+        config = small_config(shards=2, workers=workers)
+        legacy = compile_scenario(get_scenario("legacy-uniform"), config)
+        obs = Observer()
+        orchestrator = FleetOrchestrator(config, obs=obs)
+        assert orchestrator.scenario is None
+        assert orchestrator.schedule.digest() == legacy.digest()
+        stats = orchestrator.run().stats
+        # The schedule is the legacy one; the run still names none.
+        assert stats.scenario == ""
+        assert obs.meta["run"] == "fleet"
+
     def test_scenario_none_and_legacy_uniform_bit_identical(self):
         config = small_config()
         plain = FleetOrchestrator(config).run().stats
