@@ -436,7 +436,6 @@ class FleetOrchestrator:
                 index=index,
                 device_id=device_id(name),
                 arrival_ms=schedule.arrival_ms[index],
-                pinned_shard=schedule.pinned_shard[index],
             )
             vehicle_policy = policy
             max_records = schedule.profile_for(index).max_records
@@ -852,7 +851,7 @@ class FleetOrchestrator:
             migrations=vehicle.migrations,
             migrating=vehicle.migrating,
             re_enrolling=vehicle.re_enrolling,
-            pinned_shard=vehicle.pinned_shard,
+            pinned_shard=self.schedule.pinned_shard[vehicle.index],
             roam_every=self.schedule.profile_for(vehicle.index).roam_every,
             last_roam_records=vehicle.last_roam_records,
         )
@@ -881,8 +880,9 @@ class FleetOrchestrator:
         through here.  A convoy pin wins while its shard is alive and
         falls back to the policy (failover adoption) while it is down.
         """
-        if vehicle.pinned_shard is not None:
-            pinned = self.shards[vehicle.pinned_shard]
+        pin = self.schedule.pinned_shard[vehicle.index]
+        if pin is not None:
+            pinned = self.shards[pin]
             if not pinned.failed:
                 return pinned
         decision = self.policy.decide(
@@ -1618,8 +1618,9 @@ class FleetOrchestrator:
         placement with every shard alive, where :meth:`_assign` returns
         the vehicle's scenario shard pin or its :func:`static_hash_index`.
         """
-        if vehicle.pinned_shard is not None:
-            return vehicle.pinned_shard
+        pin = self.schedule.pinned_shard[vehicle.index]
+        if pin is not None:
+            return pin
         return static_hash_index(vehicle.device_id, self.config.shards)
 
     def _run_partition(self, owned: frozenset) -> WorkerSnapshot:

@@ -112,9 +112,6 @@ class Vehicle:
     v2v_records_sent: int = 0
     v2v_done_at: float | None = None
     # -- scenario extensions (defaults = config-driven behavior) -------------
-    #: Shard this vehicle is pinned to (platoon convoys); ``None`` lets the
-    #: topology's assignment policy place it.
-    pinned_shard: int | None = None
     #: Record count at the last roamer-triggered migration (guards against
     #: re-triggering on the same record after the post-migrate establish).
     last_roam_records: int = -1

@@ -163,10 +163,28 @@ class TestExplicitMigrateApi:
         with pytest.raises(SessionExpired):
             source.manager.send(vehicle.device_id, b"stale")
 
-    def test_migrating_to_own_shard_rejected(self, forced):
-        orchestrator, vehicle, _, _ = forced
-        with pytest.raises(SimulationError):
-            orchestrator.migrate(vehicle, orchestrator.shards[vehicle.shard])
+    def test_migrating_to_own_shard_rejected(self):
+        config = _topology_config(
+            n_vehicles=6,
+            seed=b"churn-explicit",
+            records_per_vehicle=40,
+            max_records=100,
+            send_interval_ms=25.0,
+            shards=2,
+        )
+        orchestrator = FleetOrchestrator(config)
+        vehicle = orchestrator.vehicles[0]
+        orchestrator.sim.schedule_at(
+            4_200.0,
+            lambda: orchestrator.migrate(
+                vehicle, orchestrator.shards[vehicle.shard]
+            ),
+        )
+        with pytest.raises(SimulationError, match="already lives on shard"):
+            orchestrator.run()
+        # Raised on a live vehicle, past the liveness guard.
+        assert vehicle.enrolled_at is not None and vehicle.done_at is None
+        assert vehicle.migrations == 0
 
     def test_migrate_outside_a_send_leaves_one_send_loop(self):
         # Regression: the send already scheduled when migrate() ran from
@@ -466,10 +484,25 @@ class TestChurnConfigValidation:
             FleetConfig(shards=2, migrate_threshold=0)
 
     def test_migrate_between_failed_shards_rejected(self):
-        config = _topology_config(shards=2)
+        # Shard 1 fails at 3 s; by 4.2 s vehicle 0 lives on shard 0, so
+        # the migrate reaches the failed-shard check.
+        config = _topology_config(
+            n_vehicles=6,
+            seed=b"churn-explicit",
+            records_per_vehicle=40,
+            max_records=100,
+            send_interval_ms=25.0,
+            shards=2,
+            shard_fail_at_ms=3_000.0,
+            fail_shard=1,
+        )
         orchestrator = FleetOrchestrator(config)
-        orchestrator.shards[1].failed = True
-        with pytest.raises(SimulationError):
-            orchestrator.migrate(
-                orchestrator.vehicles[0], orchestrator.shards[1]
-            )
+        vehicle = orchestrator.vehicles[0]
+        orchestrator.sim.schedule_at(
+            4_200.0, lambda: orchestrator.migrate(vehicle, 1)
+        )
+        with pytest.raises(SimulationError, match="two healthy shards"):
+            orchestrator.run()
+        assert vehicle.enrolled_at is not None and vehicle.done_at is None
+        assert vehicle.shard == 0 and orchestrator.shards[1].failed
+        assert vehicle.migrations == 0

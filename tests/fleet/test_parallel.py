@@ -501,7 +501,7 @@ class TestPlacementPrediction:
         )
         vehicles = orch.run().vehicles
         if scenario:
-            assert any(v.pinned_shard is not None for v in vehicles)
+            assert any(pin is not None for pin in orch.schedule.pinned_shard)
         for vehicle in vehicles:
             assert vehicle.shard == orch._predicted_shard(vehicle)
 
